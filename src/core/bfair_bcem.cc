@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 
 #include "core/fair_bcem_pp.h"
-#include "core/intersect.h"
+#include "core/kernels.h"
 #include "core/search_context.h"
 #include "fairness/combination.h"
 #include "fairness/fair_set.h"
@@ -18,10 +19,10 @@ namespace {
 // domain). The running intersection shrinks monotonically, so two
 // ping-pong buffers sized to the first neighbor list cover the fold, and
 // the last step fuses the class counting into the intersection instead
-// of a separate pass over the result.
+// of a separate pass over the result. Kernel telemetry goes to `kstats`.
 std::vector<VertexId> CommonLowerNeighborhoodWithCounts(
     const BipartiteGraph& g, std::span<const VertexId> upper,
-    SizeVector* counts) {
+    SizeVector* counts, KernelStats* kstats) {
   FAIRBC_CHECK(!upper.empty());
   counts->assign(g.NumAttrs(Side::kLower), 0);
   const std::span<const AttrId> attrs = g.AttrArray(Side::kLower);
@@ -33,14 +34,15 @@ std::vector<VertexId> CommonLowerNeighborhoodWithCounts(
   }
   std::vector<VertexId> tmp(common.size());
   for (std::size_t i = 1; i + 1 < upper.size() && !common.empty(); ++i) {
-    tmp.resize(
-        IntersectInto(tmp.data(), common, g.Neighbors(Side::kUpper, upper[i])));
+    tmp.resize(IntersectInto(tmp.data(), common,
+                             g.Neighbors(Side::kUpper, upper[i]), nullptr,
+                             kstats));
     common.swap(tmp);
   }
   if (!common.empty()) {
     tmp.resize(IntersectWithAttrCounts(
         tmp.data(), common, g.Neighbors(Side::kUpper, upper.back()), attrs,
-        counts->data()));
+        counts->data(), nullptr, kstats));
     common.swap(tmp);
   }
   return common;
@@ -78,17 +80,21 @@ EnumStats BFairBcemRun(const BipartiteGraph& g,
   // engine-level threading contract (core/enumerate.h).
   std::atomic<bool> aborted{false};
   std::atomic<std::uint64_t> emitted{0};
+  // The regrow folds' kernel telemetry, folded in once per SS biclique.
+  std::mutex regrow_kernels_mu;
+  KernelStats regrow_kernels;
 
   // Paper Alg. 9 body, run per single-side fair biclique (L', R').
   BicliqueSink ss_sink = [&](const Biclique& ss) {
     SizeVector r_sizes = AttrSizes(g, Side::kLower, ss.lower);
+    KernelStats kstats;
     EnumerateMaximalFairSubsets(
         g, Side::kUpper, ss.upper, upper_spec,
-        [&](std::span<const VertexId> l_sub) {
+        [&](std::span<const VertexId> l_sub, std::span<const std::uint64_t>) {
           if (l_sub.empty()) return true;  // bicliques need nonempty sides.
           SizeVector hood_sizes;
-          std::vector<VertexId> hood =
-              CommonLowerNeighborhoodWithCounts(g, l_sub, &hood_sizes);
+          std::vector<VertexId> hood = CommonLowerNeighborhoodWithCounts(
+              g, l_sub, &hood_sizes, &kstats);
           // R' ⊆ N∩(l') always holds (l' ⊆ N∩(R')); (l', R') is a bi-side
           // fair biclique iff R' cannot be fairly extended inside N∩(l').
           if (lower_policy.MaximalWithin(r_sizes, hood_sizes)) {
@@ -103,6 +109,10 @@ EnumStats BFairBcemRun(const BipartiteGraph& g,
           }
           return true;
         });
+    {
+      std::lock_guard<std::mutex> lock(regrow_kernels_mu);
+      MergeKernelStats(regrow_kernels, kstats);
+    }
     return !aborted.load(std::memory_order_relaxed);
   };
 
@@ -120,6 +130,7 @@ EnumStats BFairBcemRun(const BipartiteGraph& g,
       break;
   }
   stats.num_results = emitted.load(std::memory_order_relaxed);
+  MergeKernelStats(stats.kernels, regrow_kernels);
   return stats;
 }
 

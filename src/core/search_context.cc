@@ -1,6 +1,6 @@
 #include "core/search_context.h"
 
-#include "core/intersect.h"
+#include "core/kernels.h"
 
 namespace fairbc {
 

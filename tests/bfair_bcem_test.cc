@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/bfair_bcem.h"
 #include "core/bruteforce.h"
+#include "core/fair_bcem_pp.h"
 #include "core/pipeline.h"
 #include "test_util.h"
 
@@ -99,6 +101,29 @@ TEST(BFairBcem, NoBsfbcWhenUpperClassMissing) {
                                {0, 0}, {0, 1});
   FairBicliqueParams params{1, 1, 1, 0.0};
   EXPECT_TRUE(Collect(EnumerateBSFBC, g, params).empty());
+}
+
+TEST(BFairBcem, RegrowFoldKernelCallsAreCounted) {
+  // Complete 4x4, upper classes (2,2): the single-side substrate emits
+  // the whole block, and the bi-side pass regrows the lower side of each
+  // 2-upper fair subset with an intersection fold over both uppers. Those
+  // kernel calls must show up in the run's stats on top of the
+  // substrate's own.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < 4; ++u) {
+    for (VertexId v = 0; v < 4; ++v) edges.emplace_back(u, v);
+  }
+  BipartiteGraph g = MakeGraph(4, 4, edges, {0, 0, 1, 1}, {0, 1, 0, 1});
+  FairBicliqueParams params{1, 1, 0, 0.0};
+  const std::uint32_t min_upper = params.alpha * g.NumAttrs(Side::kUpper);
+  CountSink ss_sink;
+  EnumStats ss = FairBcemPpRun(g, params, min_upper, {}, ss_sink.AsSink());
+  CountSink bs_sink;
+  EnumStats bs = BFairBcemRun(g, params, {}, SsEngine::kFairBcemPlusPlus,
+                              bs_sink.AsSink());
+  ASSERT_GT(bs_sink.count(), 0u);
+  EXPECT_GT(bs.kernels.calls, ss.kernels.calls);
+  EXPECT_GT(bs.kernels.steps, ss.kernels.steps);
 }
 
 TEST(BFairBcem, EmptyGraph) {
