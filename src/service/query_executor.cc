@@ -32,7 +32,8 @@ QueryExecutor::QueryExecutor(const GraphCatalog& catalog,
           "Query traces retained by the slow-query threshold.")),
       async_pending_(metrics_->GetGauge(
           "fairbc_inflight_queries",
-          "Async queries admitted but not yet completed.")),
+          "Queries admitted but not yet completed (leaders, unshared runs, "
+          "parked subscribers).")),
       query_seconds_(metrics_->GetHistogram(
           "fairbc_query_seconds", "Wall clock of executed queries.")),
       phase_construct_(metrics_->GetHistogram(
@@ -271,514 +272,42 @@ void QueryExecutor::RunQuery(const QueryRequest& request,
   kernel_bitset_->Increment(stats.kernels.bitset);
 }
 
-void QueryExecutor::FinishLeader(const std::string& key,
-                                 const std::shared_ptr<InFlight>& slot,
-                                 const QuerySummary& summary, bool complete) {
-  // Take the completion list and retire the slot atomically with the
-  // cache insert: between these, no duplicate can either miss the cache
-  // or register on a dead slot.
-  std::vector<InFlight::Waiter> waiters;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (complete) cache_.Insert(key, summary);
-    waiters = std::move(slot->waiters);
-    slot->waiters.clear();
-    inflight_.erase(key);
-  }
-  {
-    std::lock_guard<std::mutex> lk(slot->mu);
-    slot->done = true;
-    slot->shareable = complete;
-    slot->summary = summary;
-  }
-  slot->cv.notify_all();
-  for (InFlight::Waiter& w : waiters) {
-    async_pending_->Decrement();
-    if (complete) {
-      QueryResult adopted;
-      adopted.summary = summary;
-      adopted.coalesced = true;
-      adopted.graph_version = w.graph_version;
-      adopted.seconds = w.timer.ElapsedSeconds();
-      coalesced_->Increment();
-      w.done(std::move(adopted));
-    } else {
-      // Partial leader run (deadline/budget tripped): never adopted.
-      // Re-admission usually elects the first waiter as the new leader
-      // and stacks the rest behind it again.
-      ExecuteAsync(w.request, std::move(w.done));
-    }
-  }
-}
-
 QueryResult QueryExecutor::Execute(const QueryRequest& request) {
-  Timer timer;
-  queries_->Increment();
-  QueryResult out;
-  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
-  if (entry == nullptr) {
-    out.status = Status::NotFound("unknown graph: " + request.graph);
-    out.seconds = timer.ElapsedSeconds();
-    failures_->Increment();
-    return out;
-  }
-  out.graph_version = entry->version;
-
-  std::shared_ptr<TraceRecorder> trace = MaybeStartTrace();
-  TraceSpan root_span(trace.get(), "query");
-  TraceSpan admission_span(trace.get(), "admission");
-
-  const std::string key = CanonicalCacheKey(request, entry->version);
-  // Only summary-only cacheable queries can share results — with someone
-  // already in flight (single-flight) or with the cache.
-  const bool shareable = request.use_cache && !request.include_bicliques;
-  // Budgeted queries never *wait* on a leader: the cache key excludes
-  // budgets, so an identical-key leader may take arbitrarily longer than
-  // this query's own deadline allows. They still lead (and publish) when
-  // first, and still take cache hits — they just run themselves instead
-  // of blocking behind someone else's run.
-  const bool may_wait = request.options.time_budget_seconds == 0.0 &&
-                        request.options.node_budget == 0;
-
-  // Biclique-collecting queries can still skip the engines when the cache
-  // retained the result payload under its byte budget (they stay outside
-  // single-flight — a summary-only leader has no bicliques to share).
-  if (request.use_cache && request.include_bicliques) {
-    ResultCache::Payload payload;
-    std::optional<QuerySummary> cached;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      cached = cache_.Lookup(key, &payload);
-    }
-    if (cached && payload != nullptr) {
-      out.summary = *cached;
-      out.bicliques = *payload;
-      out.cache_hit = true;
-      out.seconds = timer.ElapsedSeconds();
-      return out;
-    }
-  }
-
-  for (;;) {
-    std::shared_ptr<InFlight> slot;
-    bool leader = true;
-    if (shareable) {
-      // Admission is atomic: cache lookup and in-flight join/lead happen
-      // under one lock, and a leader publishes (cache insert + slot
-      // retire) under the same lock — so between a miss here and our slot
-      // insertion no other execution can slip through, and each key has
-      // exactly one execution per cache-miss epoch (among queries allowed
-      // to wait).
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      if (std::optional<QuerySummary> hit = cache_.Lookup(key)) {
-        out.summary = *hit;
-        out.cache_hit = true;
-        out.seconds = timer.ElapsedSeconds();
-        return out;  // trace discarded: nothing ran.
-      }
-      auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
-        if (may_wait) {
-          slot = it->second;
-          leader = false;
-        }
-        // else: run unshared below — slot stays null, nothing to retire.
-      } else {
-        slot = std::make_shared<InFlight>();
-        inflight_[key] = slot;
-      }
-    }
-
-    if (!leader) {
-      // Synchronous join: this parks the CALLER's thread (CLI, tests) —
-      // the server reactors and the runner pool always go through
-      // ExecuteAsync, whose duplicates register a completion instead.
-      std::unique_lock<std::mutex> lk(slot->mu);
-      slot->cv.wait(lk, [&] { return slot->done; });
-      if (!slot->shareable) continue;  // partial leader run; run ourselves.
-      out.summary = slot->summary;
-      out.coalesced = true;
-      coalesced_->Increment();
-      out.seconds = timer.ElapsedSeconds();
-      return out;
-    }
-
-    admission_span.End();
-    RunQuery(request, entry->graph, &out, trace.get());
-
-    // Partial runs (deadline/budget tripped) must not poison the cache —
-    // and must not be adopted by waiters, whose own budgets may differ.
-    const bool complete = !out.summary.stats.budget_exhausted;
-    TraceSpan publish_span(trace.get(), "publish");
-    if (slot != nullptr) {
-      FinishLeader(key, slot, out.summary, complete);
-    } else if (request.use_cache && complete) {
-      // Unshared runs (biclique-collecting, or budgeted queries that
-      // declined to wait on someone else's slot) still publish their
-      // summary for later summary-only queries; collecting runs attach
-      // the result payload so repeats can skip the engines entirely.
-      ResultCache::Payload payload;
-      if (request.include_bicliques) {
-        payload = std::make_shared<const std::vector<Biclique>>(out.bicliques);
-      }
-      cache_.Insert(key, out.summary, std::move(payload));
-    }
-    publish_span.End();
-    root_span.End();
-    out.seconds = timer.ElapsedSeconds();
-    FinalizeTrace(request, std::move(trace), &out);
-    return out;
-  }
+  return AwaitAll({request}).front();
 }
 
 void QueryExecutor::ExecuteAsync(const QueryRequest& request, Completion done) {
-  Timer timer;
-  queries_->Increment();
-  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
-  if (entry == nullptr) {
-    QueryResult out;
-    out.status = Status::NotFound("unknown graph: " + request.graph);
-    out.seconds = timer.ElapsedSeconds();
-    failures_->Increment();
-    done(std::move(out));
-    return;
-  }
-
-  std::shared_ptr<TraceRecorder> trace = MaybeStartTrace();
-  TraceSpan root_span(trace.get(), "query");
-  TraceSpan admission_span(trace.get(), "admission");
-
-  const std::string key = CanonicalCacheKey(request, entry->version);
-  const bool shareable = request.use_cache && !request.include_bicliques;
-  const bool may_wait = request.options.time_budget_seconds == 0.0 &&
-                        request.options.node_budget == 0;
-
-  // Async mirror of Execute's payload fast path for collecting queries.
-  if (request.use_cache && request.include_bicliques) {
-    ResultCache::Payload payload;
-    std::optional<QuerySummary> cached;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      cached = cache_.Lookup(key, &payload);
-    }
-    if (cached && payload != nullptr) {
-      QueryResult out;
-      out.summary = *cached;
-      out.bicliques = *payload;
-      out.cache_hit = true;
-      out.graph_version = entry->version;
-      out.seconds = timer.ElapsedSeconds();
-      done(std::move(out));
-      return;
-    }
-  }
-
-  std::shared_ptr<InFlight> slot;
-  if (shareable) {
-    std::optional<QueryResult> hit;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      if (std::optional<QuerySummary> cached = cache_.Lookup(key)) {
-        QueryResult out;
-        out.summary = *cached;
-        out.cache_hit = true;
-        out.graph_version = entry->version;
-        out.seconds = timer.ElapsedSeconds();
-        hit = std::move(out);
-      } else {
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-          if (may_wait) {
-            // The whole point of completion-list single-flight: the
-            // duplicate costs one vector slot, not one parked thread.
-            async_pending_->Increment();
-            it->second->waiters.push_back(
-                {request, std::move(done), timer, entry->version});
-            return;  // trace discarded: the leader's run is the story.
-          }
-          // Budgeted duplicate: run unshared (slot stays null).
-        } else {
-          slot = std::make_shared<InFlight>();
-          inflight_[key] = slot;
-        }
-      }
-    }
-    if (hit) {
-      done(std::move(*hit));  // invoked outside the admission lock.
-      return;
-    }
-  }
-
-  admission_span.End();
-  async_pending_->Increment();
-  const double queued_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
-  // std::function demands a copyable target, so the move-only root span
-  // rides in a shared_ptr (the task is only ever invoked once).
-  auto moved_root =
-      std::make_shared<TraceSpan>(std::move(root_span));
-  PostToRunner([this, request, done = std::move(done), entry = std::move(entry),
-                key, slot, timer, trace = std::move(trace),
-                root_span = std::move(moved_root), queued_start_us]() mutable {
-    if (trace != nullptr) {
-      trace->Record("queued", queued_start_us,
-                    trace->NowMicros() - queued_start_us);
-    }
-    QueryResult out;
-    out.graph_version = entry->version;
-    RunQuery(request, entry->graph, &out, trace.get());
-    const bool complete = !out.summary.stats.budget_exhausted;
-    TraceSpan publish_span(trace.get(), "publish");
-    if (slot != nullptr) {
-      FinishLeader(key, slot, out.summary, complete);
-    } else if (request.use_cache && complete) {
-      ResultCache::Payload payload;
-      if (request.include_bicliques) {
-        payload = std::make_shared<const std::vector<Biclique>>(out.bicliques);
-      }
-      cache_.Insert(key, out.summary, std::move(payload));
-    }
-    publish_span.End();
-    root_span->End();
-    out.seconds = timer.ElapsedSeconds();
-    FinalizeTrace(request, std::move(trace), &out);
-    async_pending_->Decrement();
-    done(std::move(out));
-  });
-}
-
-void QueryExecutor::FinishStreamLeader(
-    const std::string& key, const std::shared_ptr<StreamFlight>& flight,
-    const QueryResult& out, bool complete) {
-  // Cache insert and flight retirement are atomic with the in-flight
-  // table, mirroring FinishLeader: between them no duplicate can either
-  // miss the cache payload or attach to a dead flight. Lock order is
-  // inflight_mu_ -> flight->mu; no path acquires them in reverse.
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    if (complete) {
-      auto payload = std::make_shared<std::vector<Biclique>>();
-      {
-        std::lock_guard<std::mutex> lk(flight->mu);
-        payload->reserve(static_cast<std::size_t>(out.summary.count));
-        for (const StreamChunk& c : flight->backlog) {
-          payload->insert(payload->end(), c.bicliques.begin(),
-                          c.bicliques.end());
-        }
-      }
-      cache_.Insert(key, out.summary, std::move(payload));
-    }
-    stream_inflight_.erase(key);
-  }
-  std::vector<StreamFlight::Subscriber> subs;
-  {
-    std::lock_guard<std::mutex> lk(flight->mu);
-    flight->done = true;
-    flight->final_result.status = out.status;
-    flight->final_result.summary = out.summary;
-    subs = std::move(flight->subscribers);
-    flight->subscribers.clear();
-  }
-  for (StreamFlight::Subscriber& sub : subs) {
-    QueryResult adopted;
-    adopted.status = out.status;
-    adopted.summary = out.summary;
-    adopted.coalesced = true;
-    adopted.graph_version = out.graph_version;
-    adopted.seconds = sub.timer.ElapsedSeconds();
-    coalesced_->Increment();
-    async_pending_->Decrement();
-    sub.done(std::move(adopted));
-  }
+  Admit(request, nullptr, std::move(done));
 }
 
 void QueryExecutor::ExecuteStreaming(const QueryRequest& request,
                                      ChunkCallback on_chunk, Completion done) {
-  Timer timer;
-  queries_->Increment();
-  streams_->Increment();
-  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
-  if (entry == nullptr) {
-    QueryResult out;
-    out.status = Status::NotFound("unknown graph: " + request.graph);
-    out.seconds = timer.ElapsedSeconds();
-    failures_->Increment();
-    done(std::move(out));
-    return;
-  }
-
-  std::shared_ptr<TraceRecorder> trace = MaybeStartTrace();
-  TraceSpan root_span(trace.get(), "query");
-  TraceSpan admission_span(trace.get(), "admission");
-
-  const std::string key = CanonicalCacheKey(request, entry->version);
-  // Streams share like summary queries do: attaching (or leading a
-  // shareable flight) requires an unbudgeted cacheable request — partial
-  // streams are never shared or cached.
-  const bool shareable = request.use_cache &&
-                         request.options.time_budget_seconds == 0.0 &&
-                         request.options.node_budget == 0;
-
-  std::shared_ptr<StreamFlight> flight;
-  bool leader = true;
-  if (request.use_cache) {
-    ResultCache::Payload payload;
-    std::optional<QuerySummary> cached;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      cached = cache_.Lookup(key, &payload);
-      if (!(cached && payload != nullptr) && shareable) {
-        auto it = stream_inflight_.find(key);
-        if (it != stream_inflight_.end()) {
-          flight = it->second;
-          leader = false;
-        } else {
-          flight = std::make_shared<StreamFlight>();
-          stream_inflight_[key] = flight;
-        }
-      }
-    }
-    if (cached && payload != nullptr) {
-      // Retained payload: the whole stream replays inline from the cache
-      // (cache_hit), chunked exactly like a live run would have been.
-      QueryResult out;
-      out.summary = *cached;
-      out.cache_hit = true;
-      out.graph_version = entry->version;
-      std::uint64_t seq = 0;
-      std::size_t i = 0;
-      bool first = true;
-      while (i < payload->size()) {
-        const std::size_t n =
-            std::min(stream_chunk_results_, payload->size() - i);
-        StreamChunk chunk;
-        chunk.seq = ++seq;
-        chunk.bicliques.assign(payload->begin() + static_cast<std::ptrdiff_t>(i),
-                               payload->begin() +
-                                   static_cast<std::ptrdiff_t>(i + n));
-        i += n;
-        chunk.results_so_far = i;
-        if (first) {
-          stream_first_result_->Observe(timer.ElapsedSeconds());
-          first = false;
-        }
-        stream_chunks_->Increment();
-        on_chunk(chunk);
-      }
-      StreamChunk end;
-      end.seq = ++seq;
-      end.results_so_far = payload->size();
-      end.final = true;
-      if (first) stream_first_result_->Observe(timer.ElapsedSeconds());
-      stream_chunks_->Increment();
-      on_chunk(end);
-      out.seconds = timer.ElapsedSeconds();
-      done(std::move(out));
-      return;
-    }
-  }
-
-  if (!leader) {
-    // Attach to the in-flight stream. The backlog replays inline under
-    // the flight mutex — the leader delivers under the same mutex, so the
-    // subscriber sees every chunk exactly once, in order. If the leader
-    // already finished (retired from the map but done flipped after our
-    // lookup), the backlog is complete and the final summary is ready.
-    async_pending_->Increment();
-    bool first = true;
-    std::lock_guard<std::mutex> lk(flight->mu);
-    for (const StreamChunk& c : flight->backlog) {
-      if (first) {
-        stream_first_result_->Observe(timer.ElapsedSeconds());
-        first = false;
-      }
-      stream_chunks_->Increment();
-      on_chunk(c);
-    }
-    if (flight->done) {
-      QueryResult out = flight->final_result;
-      out.coalesced = true;
-      out.graph_version = entry->version;
-      out.seconds = timer.ElapsedSeconds();
-      coalesced_->Increment();
-      async_pending_->Decrement();
-      done(std::move(out));
-    } else {
-      flight->subscribers.push_back(
-          {std::move(on_chunk), std::move(done), timer});
-    }
-    return;
-  }
-
-  admission_span.End();
-  async_pending_->Increment();
-  const double queued_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
-  auto moved_root = std::make_shared<TraceSpan>(std::move(root_span));
-  PostToRunner([this, request, on_chunk = std::move(on_chunk),
-                done = std::move(done), entry = std::move(entry), key, flight,
-                timer, trace = std::move(trace),
-                root_span = std::move(moved_root), queued_start_us]() mutable {
-    if (trace != nullptr) {
-      trace->Record("queued", queued_start_us,
-                    trace->NowMicros() - queued_start_us);
-    }
-    QueryResult out;
-    out.graph_version = entry->version;
-    bool first = true;
-    ChunkCallback emit = [&](const StreamChunk& chunk) {
-      if (first) {
-        stream_first_result_->Observe(timer.ElapsedSeconds());
-        first = false;
-      }
-      if (flight != nullptr) {
-        // Deliver under the flight mutex: backlog append, own callback
-        // and subscriber fan-out stay atomic against late attachers.
-        std::lock_guard<std::mutex> lk(flight->mu);
-        flight->backlog.push_back(chunk);
-        stream_chunks_->Increment();
-        on_chunk(chunk);
-        for (StreamFlight::Subscriber& sub : flight->subscribers) {
-          stream_chunks_->Increment();
-          sub.on_chunk(chunk);
-        }
-      } else {
-        stream_chunks_->Increment();
-        on_chunk(chunk);
-      }
-    };
-    RunQuery(request, entry->graph, &out, trace.get(), &emit);
-
-    const bool complete = !out.summary.stats.budget_exhausted;
-    TraceSpan publish_span(trace.get(), "publish");
-    if (flight != nullptr) {
-      FinishStreamLeader(key, flight, out, complete);
-    } else if (request.use_cache && complete) {
-      // Unshared (budgeted) streams kept no backlog — publish the summary
-      // alone for later summary-only queries.
-      cache_.Insert(key, out.summary);
-    }
-    publish_span.End();
-    root_span->End();
-    out.seconds = timer.ElapsedSeconds();
-    FinalizeTrace(request, std::move(trace), &out);
-    async_pending_->Decrement();
-    done(std::move(out));
-  });
+  // The chunks are a stream's payload; it never collects bicliques into
+  // its result, so it shares (and is cached) like a summary query would.
+  QueryRequest stream = request;
+  stream.include_bicliques = false;
+  Admit(stream, std::move(on_chunk), std::move(done));
 }
 
 std::vector<QueryResult> QueryExecutor::ExecuteBatch(
     const std::vector<QueryRequest>& requests) {
+  std::vector<QueryRequest> batch = requests;
+  // Whole queries are the batch's unit of parallelism; nested per-query
+  // pools on top of busy runners would oversubscribe the machine (see the
+  // header contract — the result set does not change).
+  for (QueryRequest& request : batch) request.options.num_threads = 1;
+  return AwaitAll(batch);
+}
+
+std::vector<QueryResult> QueryExecutor::AwaitAll(
+    const std::vector<QueryRequest>& requests) {
   std::vector<QueryResult> results(requests.size());
-  if (requests.empty()) return results;
   std::mutex mu;
   std::condition_variable cv;
   std::size_t remaining = requests.size();
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    QueryRequest request = requests[i];
-    // Whole queries are the batch's unit of parallelism; nested per-query
-    // pools on top of busy runners would oversubscribe the machine (see
-    // the header contract — the result set does not change).
-    request.options.num_threads = 1;
-    ExecuteAsync(request, [&results, &mu, &cv, &remaining, i](QueryResult r) {
+    ExecuteAsync(requests[i], [&results, &mu, &cv, &remaining,
+                               i](QueryResult r) {
       results[i] = std::move(r);
       // Notify while holding mu: the waiter cannot return from wait (and
       // destroy the stack cv) until it reacquires mu, which orders the
@@ -790,6 +319,241 @@ std::vector<QueryResult> QueryExecutor::ExecuteBatch(
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return remaining == 0; });
   return results;
+}
+
+void QueryExecutor::Admit(const QueryRequest& request, ChunkCallback on_chunk,
+                          Completion done) {
+  Timer timer;
+  queries_->Increment();
+  const bool streaming = on_chunk != nullptr;
+  if (streaming) streams_->Increment();
+  std::shared_ptr<const CatalogEntry> entry = catalog_.Get(request.graph);
+  if (entry == nullptr) {
+    QueryResult out;
+    out.status = Status::NotFound("unknown graph: " + request.graph);
+    out.seconds = timer.ElapsedSeconds();
+    failures_->Increment();
+    done(std::move(out));
+    return;
+  }
+
+  std::shared_ptr<TraceRecorder> trace = MaybeStartTrace();
+  TraceSpan root_span(trace.get(), "query");
+  TraceSpan admission_span(trace.get(), "admission");
+
+  const std::string key = CanonicalCacheKey(request, entry->version);
+  // Budgeted queries never join a flight: the cache key excludes budgets,
+  // so an identical-key leader may take arbitrarily longer than this
+  // query's own deadline allows. They still take cache hits, and a
+  // budgeted summary query still leads (a partial run publishes nothing).
+  const bool budgeted = request.options.time_budget_seconds != 0.0 ||
+                        request.options.node_budget != 0;
+  // Streams and biclique-collecting queries need the result payload, so
+  // only a cache entry that retained it serves them.
+  const bool summary_only = !streaming && !request.include_bicliques;
+
+  std::optional<QuerySummary> cached;
+  ResultCache::Payload payload;
+  std::shared_ptr<Flight> flight;
+  bool join = false;
+  if (request.use_cache) {
+    // Admission is atomic: cache lookup and join/lead happen under one
+    // lock, and a leader publishes (cache insert + flight retirement)
+    // under the same lock — so between a miss here and our flight's
+    // insertion no other execution can slip through, and each key has
+    // exactly one execution per cache-miss epoch among queries allowed to
+    // join. Collecting queries never share a flight: no leader keeps the
+    // bicliques they want.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    cached = cache_.Lookup(key, summary_only ? nullptr : &payload);
+    if (!summary_only && payload == nullptr) cached.reset();
+    if (!cached && !request.include_bicliques) {
+      auto it = inflight_.find(key);
+      if (it == inflight_.end()) {
+        // A stream leads only without a budget: its backlog is shared.
+        if (!(streaming && budgeted)) {
+          flight = std::make_shared<Flight>(streaming);
+          inflight_.emplace(key, flight);
+        }
+      } else if (!budgeted && (!streaming || it->second->streaming)) {
+        // A summary query joins any flight (ignoring its chunks); a
+        // stream needs the leader's backlog. Otherwise: run unshared.
+        flight = it->second;
+        join = true;
+      }
+    }
+  }
+
+  if (cached) {
+    // Served from the cache (trace discarded: nothing ran). A stream
+    // replays the retained payload inline, chunked exactly like a live
+    // run would have been.
+    QueryResult out;
+    out.summary = *cached;
+    out.cache_hit = true;
+    out.graph_version = entry->version;
+    if (streaming) {
+      std::uint64_t seq = 0;
+      for (std::size_t i = 0; i < payload->size();) {
+        const std::size_t n =
+            std::min(stream_chunk_results_, payload->size() - i);
+        StreamChunk chunk;
+        chunk.seq = ++seq;
+        chunk.bicliques.assign(
+            payload->begin() + static_cast<std::ptrdiff_t>(i),
+            payload->begin() + static_cast<std::ptrdiff_t>(i + n));
+        i += n;
+        chunk.results_so_far = i;
+        Deliver(on_chunk, chunk, timer);
+      }
+      StreamChunk end;
+      end.seq = ++seq;
+      end.results_so_far = payload->size();
+      end.final = true;
+      Deliver(on_chunk, end, timer);
+    } else if (payload != nullptr) {
+      out.bicliques = *payload;
+    }
+    out.seconds = timer.ElapsedSeconds();
+    done(std::move(out));
+    return;
+  }
+
+  async_pending_->Increment();
+  if (join) {
+    // The duplicate costs one subscriber slot, not one parked thread (the
+    // trace is discarded: the leader's run is the story). A stream
+    // replays the backlog first, under the mutex the leader delivers
+    // under, then rides the live chunks.
+    Subscriber sub{request, std::move(on_chunk), std::move(done), timer,
+                   entry->version};
+    std::unique_lock<std::mutex> lock(flight->mu);
+    if (streaming) {
+      for (const StreamChunk& chunk : flight->backlog) {
+        Deliver(sub.on_chunk, chunk, timer);
+      }
+    }
+    if (!flight->done) {
+      flight->subscribers.push_back(std::move(sub));
+      return;
+    }
+    // The leader retired between our lookup and now.
+    const QueryResult result = flight->result;
+    lock.unlock();
+    Settle(std::move(sub), result);
+    return;
+  }
+
+  admission_span.End();
+  const double queued_start_us = trace != nullptr ? trace->NowMicros() : 0.0;
+  // std::function demands a copyable target, so the move-only root span
+  // rides in a shared_ptr (the task is only ever invoked once).
+  auto moved_root = std::make_shared<TraceSpan>(std::move(root_span));
+  PostToRunner([this, request, on_chunk = std::move(on_chunk),
+                done = std::move(done), entry = std::move(entry), key,
+                flight = std::move(flight), timer, trace = std::move(trace),
+                root_span = std::move(moved_root), queued_start_us]() mutable {
+    if (trace != nullptr) {
+      trace->Record("queued", queued_start_us,
+                    trace->NowMicros() - queued_start_us);
+    }
+    QueryResult out;
+    out.graph_version = entry->version;
+    const ChunkCallback emit = [&](const StreamChunk& chunk) {
+      if (flight == nullptr) {
+        Deliver(on_chunk, chunk, timer);
+        return;
+      }
+      // Deliver under the flight mutex: backlog append, own callback and
+      // subscriber fan-out stay atomic against late subscribers.
+      std::lock_guard<std::mutex> lock(flight->mu);
+      flight->backlog.push_back(chunk);
+      Deliver(on_chunk, chunk, timer);
+      for (const Subscriber& sub : flight->subscribers) {
+        if (sub.on_chunk) Deliver(sub.on_chunk, chunk, sub.timer);
+      }
+    };
+    RunQuery(request, entry->graph, &out, trace.get(),
+             on_chunk ? &emit : nullptr);
+    TraceSpan publish_span(trace.get(), "publish");
+    FinishFlight(key, request, flight, out);
+    publish_span.End();
+    root_span->End();
+    out.seconds = timer.ElapsedSeconds();
+    FinalizeTrace(request, std::move(trace), &out);
+    async_pending_->Decrement();
+    done(std::move(out));
+  });
+}
+
+void QueryExecutor::FinishFlight(const std::string& key,
+                                 const QueryRequest& request,
+                                 const std::shared_ptr<Flight>& flight,
+                                 const QueryResult& out) {
+  // Partial runs (deadline/budget tripped) must not poison the cache —
+  // and must not be adopted by subscribers, whose own budgets may differ.
+  const bool publish = request.use_cache && !out.summary.stats.budget_exhausted;
+  // Collecting runs and streaming leaders attach the result payload so
+  // repeats can skip the engines entirely. Only this runner appends to
+  // the backlog, so it reads it without the flight mutex.
+  ResultCache::Payload payload;
+  if (publish && request.include_bicliques) {
+    payload = std::make_shared<const std::vector<Biclique>>(out.bicliques);
+  } else if (publish && flight != nullptr && flight->streaming) {
+    auto rebuilt = std::make_shared<std::vector<Biclique>>();
+    rebuilt->reserve(static_cast<std::size_t>(out.summary.count));
+    for (const StreamChunk& chunk : flight->backlog) {
+      rebuilt->insert(rebuilt->end(), chunk.bicliques.begin(),
+                      chunk.bicliques.end());
+    }
+    payload = std::move(rebuilt);
+  }
+  {
+    // Cache insert and flight retirement are atomic with admission:
+    // between them no duplicate can either miss the cache or join a
+    // retired flight unnoticed. Lock order is inflight_mu_ -> Flight::mu;
+    // no path takes them in reverse.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    if (publish) cache_.Insert(key, out.summary, std::move(payload));
+    if (flight != nullptr) inflight_.erase(key);
+  }
+  if (flight == nullptr) return;
+  std::vector<Subscriber> subscribers;
+  {
+    std::lock_guard<std::mutex> lock(flight->mu);
+    flight->done = true;
+    flight->result.status = out.status;
+    flight->result.summary = out.summary;
+    subscribers = std::move(flight->subscribers);
+  }
+  for (Subscriber& sub : subscribers) Settle(std::move(sub), out);
+}
+
+void QueryExecutor::Settle(Subscriber sub, const QueryResult& result) {
+  async_pending_->Decrement();
+  if (result.summary.stats.budget_exhausted) {
+    // Partial leader run: never adopted. Re-admission usually elects the
+    // first subscriber as the new leader and stacks the rest behind it.
+    // Only summary subscribers get here: a stream joins only a streaming
+    // leader, which carries no budget.
+    Admit(sub.request, std::move(sub.on_chunk), std::move(sub.done));
+    return;
+  }
+  QueryResult adopted;
+  adopted.status = result.status;
+  adopted.summary = result.summary;
+  adopted.coalesced = true;
+  adopted.graph_version = sub.graph_version;
+  adopted.seconds = sub.timer.ElapsedSeconds();
+  coalesced_->Increment();
+  sub.done(std::move(adopted));
+}
+
+void QueryExecutor::Deliver(const ChunkCallback& on_chunk,
+                            const StreamChunk& chunk, const Timer& timer) {
+  if (chunk.seq == 1) stream_first_result_->Observe(timer.ElapsedSeconds());
+  stream_chunks_->Increment();
+  on_chunk(chunk);
 }
 
 QueryExecutor::Telemetry QueryExecutor::telemetry() const {

@@ -69,29 +69,43 @@ struct QueryExecutorOptions {
 ///    only queries admitted afterwards;
 ///  - the cache and the in-flight table are internally synchronized; the
 ///    executor holds no lock while an engine runs;
-///  - Execute()/ExecuteAsync() are safe from any thread; batches may run
+///  - every public entry point is safe from any thread; batches may run
 ///    concurrently with each other and with direct calls.
 ///
-/// Single-flight is COMPLETION-LIST based: a duplicate of an in-flight
-/// query (same CanonicalCacheKey, summary-only, cacheable) registers a
-/// completion callback on the leader's slot instead of occupying a
-/// thread. When the leader publishes, it invokes every registered
-/// completion with its summary (QueryResult::coalesced) — so however
-/// many duplicates are in flight, they hold zero runner threads and zero
-/// caller threads (the async path) between admission and completion.
-/// The synchronous Execute() still blocks its *own calling* thread when
-/// it joins a leader — that thread belongs to the caller (CLI, tests),
-/// never to the runner pool or a server reactor, both of which only use
-/// the async path. Budget-exhausted leader runs are never shared —
-/// waiters are re-admitted (usually becoming the new leader), mirroring
-/// the "partial runs are never cached" rule. Queries carrying their own
-/// time/node budget never join a leader at all (the key excludes
-/// budgets, so a leader may outlive their deadline): they run
-/// themselves, at worst duplicating one execution.
+/// All entry points share one admission routine and one single-flight
+/// table. Every execution runs on the runner pool: ExecuteAsync and
+/// ExecuteStreaming return after admission, and Execute is ExecuteAsync
+/// plus a wait on the caller's own thread. Execute (and ExecuteBatch)
+/// must therefore never be called from a completion or chunk callback,
+/// nor from a runner thread: the wait could hold the very runner its
+/// query needs.
+///
+/// A flight is one in-flight execution, keyed by CanonicalCacheKey. A
+/// duplicate of it (cacheable, no budget of its own) becomes a
+/// *subscriber*: a completion callback, plus a chunk callback for
+/// streams, registered on the flight instead of a parked thread. When
+/// the leader finishes it publishes to the cache and completes every
+/// subscriber with its summary (QueryResult::coalesced). Sharing rules:
+///  - summary queries (use_cache, no include_bicliques) share: they lead
+///    a flight when none exists (even with a budget) and join any flight
+///    when they carry no budget, a streaming one included — a summary
+///    subscriber simply ignores the chunks;
+///  - a stream leads only without a budget, and its flight keeps the
+///    chunk backlog so a late stream subscriber replays it and then
+///    rides the live chunks; a stream joins only such a flight and
+///    otherwise runs unshared;
+///  - biclique-collecting queries never share a flight; they take only
+///    cached payloads;
+///  - queries carrying their own time/node budget never join (the key
+///    excludes budgets, so a leader may outlive their deadline): they run
+///    themselves, at worst duplicating one execution.
+/// Budget-exhausted runs are never cached or shared: a partial leader
+/// re-admits its subscribers (usually electing the first as the new
+/// leader).
 ///
 /// Per-query deadlines/budgets ride on EnumOptions inside the request
 /// (SearchBudget in the engines); a query hitting its budget reports
-/// stats.budget_exhausted and is never cached.
+/// stats.budget_exhausted.
 ///
 /// Observability: every counter lives in the MetricsRegistry
 /// (fairbc_query_* / fairbc_kernel_* families, plus the cache's
@@ -127,18 +141,18 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Runs one query on the calling thread (cache lookup, single-flight
-  /// admission, then the full reduction + search pipeline when this call
-  /// becomes the leader). Never throws; failures (unknown graph, invalid
-  /// parameters) come back in QueryResult::status.
+  /// Runs one query and returns its result: ExecuteAsync plus a wait on
+  /// the calling thread (see the class comment for where not to call
+  /// it). Never throws; failures (unknown graph, invalid parameters) come
+  /// back in QueryResult::status.
   QueryResult Execute(const QueryRequest& request);
 
   /// Asynchronous admission: never blocks beyond the admission lock.
   ///  - cache hit / unknown graph → `done` is invoked inline, before the
   ///    call returns;
   ///  - duplicate of an in-flight query → `done` is registered on the
-  ///    leader's completion list and invoked (with coalesced=true) from
-  ///    the leader's runner thread when it publishes — no thread waits;
+  ///    flight and invoked (with coalesced=true) from the leader's runner
+  ///    thread when it publishes — no thread waits;
   ///  - otherwise → the query is posted to the runner pool and `done` is
   ///    invoked from the runner thread that executed it.
   /// `done` must be callable from any thread and must not block for
@@ -155,21 +169,22 @@ class QueryExecutor {
   /// except failed admissions (unknown graph, invalid request), which
   /// invoke `done` with the error and no chunks.
   ///
-  /// Admission mirrors ExecuteAsync: never blocks beyond the admission
-  /// lock. A cache entry that retained the result payload replays it as
-  /// chunks inline (cache_hit). A duplicate of an in-flight *streaming*
-  /// query attaches to the leader's chunk stream instead of parking on
-  /// the final result: the backlog replays inline, live chunks follow,
-  /// and its `done` fires with coalesced=true — zero threads held either
-  /// way. Like the batch path, queries carrying their own budgets never
-  /// attach (and their partial streams are never shared or cached).
+  /// Admission is ExecuteAsync's with a chunk callback attached. A cache
+  /// entry that retained the result payload replays it as chunks inline
+  /// (cache_hit). A duplicate of an in-flight *streaming* query attaches
+  /// to the leader's chunk stream: the backlog replays inline, live
+  /// chunks follow, and its `done` fires with coalesced=true — zero
+  /// threads held either way. Streams carrying their own budgets, or
+  /// whose key is in flight as a summary-only run, run unshared (and a
+  /// partial stream is never cached).
   void ExecuteStreaming(const QueryRequest& request, ChunkCallback on_chunk,
                         Completion done);
 
   /// Runs `requests` concurrently on the runner pool via ExecuteAsync;
   /// results are positionally aligned with the requests; returns when
-  /// all have completed. Repeated parameters inside one batch are served
-  /// from the cache or coalesced behind the one in-flight execution.
+  /// all have completed (the same wait, with the same caveats, as
+  /// Execute). Repeated parameters inside one batch are served from the
+  /// cache or coalesced behind the one in-flight execution.
   /// Per-query num_threads is clamped to 1: the batch itself is the unit
   /// of parallelism, and a query spinning a nested enumeration pool on
   /// top of busy runners would oversubscribe the machine (the result set
@@ -191,8 +206,9 @@ class QueryExecutor {
   std::uint64_t execution_count() const { return executions_->Value(); }
   std::uint64_t coalesced_count() const { return coalesced_->Value(); }
 
-  /// Async executions admitted but not yet completed (leaders + unshared
-  /// runs + registered waiters). Telemetry/test aid.
+  /// Queries admitted but not yet completed (leaders, unshared runs,
+  /// parked subscribers), whichever entry point admitted them.
+  /// Telemetry/test aid.
   std::uint64_t async_pending() const {
     const std::int64_t v = async_pending_->Value();
     return v > 0 ? static_cast<std::uint64_t>(v) : 0;
@@ -200,7 +216,7 @@ class QueryExecutor {
 
   /// Test seam: invoked on the executing thread right before each real
   /// enumeration (leaders and unshared runs; never cache hits or
-  /// coalesced waiters). Tests use it to hold a leader in flight
+  /// coalesced subscribers). Tests use it to hold a leader in flight
   /// deterministically. Not for production use. Mutex-guarded so a test
   /// may install/clear it while runner threads are live.
   void SetExecuteHook(std::function<void(const QueryRequest&)> hook) {
@@ -223,43 +239,41 @@ class QueryExecutor {
   double slow_query_ms() const { return slow_query_ms_; }
 
  private:
-  /// One in-flight execution. Sync waiters block on `cv` (their own
-  /// calling thread); async waiters sit in `completions`, which is
-  /// guarded by inflight_mu_ (NOT `mu`) so registration and the leader's
-  /// take-and-erase are atomic with the in-flight table itself.
-  struct InFlight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool shareable = false;
-    QuerySummary summary;
-    /// Async duplicates awaiting this leader; guarded by inflight_mu_.
-    struct Waiter {
-      QueryRequest request;  ///< kept for re-admission on partial runs.
-      Completion done;
-      Timer timer;
-      std::uint64_t graph_version = 0;
-    };
-    std::vector<Waiter> waiters;
+  /// A query parked on a flight until its leader finishes. Summary
+  /// subscribers have a null `on_chunk`; stream subscribers receive every
+  /// chunk of the flight.
+  struct Subscriber {
+    QueryRequest request;  ///< kept for re-admission on partial runs.
+    ChunkCallback on_chunk;
+    Completion done;
+    Timer timer;
+    std::uint64_t graph_version = 0;
   };
 
-  /// One in-flight *streaming* execution. The leader appends every chunk
-  /// to the backlog and fans it out to the subscribers under `mu`; a late
-  /// duplicate replays the backlog inline under the same mutex, so each
-  /// subscriber sees every chunk exactly once, in order. The map entry is
-  /// erased (under inflight_mu_) before `done` flips, mirroring InFlight.
-  struct StreamFlight {
+  /// One in-flight execution, the value type of inflight_. A streaming
+  /// leader appends each chunk to `backlog` and fans it out to the
+  /// subscribers under `mu`; a late stream subscriber replays the backlog
+  /// under the same mutex, so each sees every chunk exactly once, in
+  /// order. The leader erases the map entry (under inflight_mu_) before
+  /// `done` flips, so a subscriber that found the flight just before
+  /// that sees `done` and settles against `result` itself.
+  struct Flight {
+    explicit Flight(bool streaming) : streaming(streaming) {}
+    const bool streaming;  ///< the leader streams and keeps `backlog`.
     std::mutex mu;
-    std::vector<StreamChunk> backlog;
-    bool done = false;
-    QueryResult final_result;  ///< valid once done (status + summary).
-    struct Subscriber {
-      ChunkCallback on_chunk;
-      Completion done;
-      Timer timer;
-    };
+    bool done = false;     // guarded by mu, as is everything below.
+    QueryResult result;    ///< status + summary, valid once done.
     std::vector<Subscriber> subscribers;
+    std::vector<StreamChunk> backlog;
   };
+
+  /// The one admission routine behind every entry point (`on_chunk` null
+  /// for non-streaming queries): unknown graph, cache hits and payload
+  /// replays complete inline; a duplicate of an in-flight query joins it
+  /// as a subscriber; everything else is posted to the runner pool as a
+  /// flight leader or an unshared run.
+  void Admit(const QueryRequest& request, ChunkCallback on_chunk,
+             Completion done);
 
   /// Runs the enumeration for `request` against `graph` into `out`
   /// (digest accumulation, optional biclique collection, top-k selection,
@@ -267,25 +281,31 @@ class QueryExecutor {
   /// folds the run's stats into the registry histograms and kernel
   /// counters. `emit` (nullable) receives streamed chunks; when set, the
   /// run drives a ChunkSink over a shared SearchBudget and records a
-  /// "stream" span covering first flush to last.
+  /// "stream" span covering the post-enumeration delivery tail.
   void RunQuery(const QueryRequest& request, const BipartiteGraph& graph,
                 QueryResult* out, TraceRecorder* trace,
                 const ChunkCallback* emit = nullptr);
 
-  /// Leader epilogue shared by Execute and the async runner task:
-  /// publishes to the cache, retires the slot, wakes sync waiters and
-  /// invokes (or re-admits) async completions.
-  void FinishLeader(const std::string& key,
-                    const std::shared_ptr<InFlight>& slot,
-                    const QuerySummary& summary, bool complete);
+  /// Run epilogue: publishes a complete run's summary to the cache (plus
+  /// its payload: the collected bicliques, or the streaming backlog),
+  /// retires `flight` (null for unshared runs) atomically with that
+  /// insert, then settles every subscriber.
+  void FinishFlight(const std::string& key, const QueryRequest& request,
+                    const std::shared_ptr<Flight>& flight,
+                    const QueryResult& out);
 
-  /// Streaming-leader epilogue: publishes summary + payload (rebuilt from
-  /// the backlog) to the cache, retires the flight, and completes every
-  /// attached subscriber with the coalesced summary. Subscribers already
-  /// received every chunk live; only their `done` is pending.
-  void FinishStreamLeader(const std::string& key,
-                          const std::shared_ptr<StreamFlight>& flight,
-                          const QueryResult& out, bool complete);
+  /// Completes a subscriber with its leader's result (coalesced), or
+  /// re-admits it when that run was partial.
+  void Settle(Subscriber sub, const QueryResult& result);
+
+  /// Hands one chunk to a stream's callback; the first chunk of the
+  /// stream also records its time-to-first-result.
+  void Deliver(const ChunkCallback& on_chunk, const StreamChunk& chunk,
+               const Timer& timer);
+
+  /// Admits every request through ExecuteAsync and blocks the calling
+  /// thread until all have completed; results align with the requests.
+  std::vector<QueryResult> AwaitAll(const std::vector<QueryRequest>& requests);
 
   /// Fresh per-query recorder, or null when tracing is off.
   std::shared_ptr<TraceRecorder> MaybeStartTrace() const;
@@ -303,12 +323,12 @@ class QueryExecutor {
   const GraphCatalog& catalog_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // before cache_: it
   MetricsRegistry* metrics_;                        // registers counters.
-  Counter* queries_;         ///< admissions (every Execute/ExecuteAsync).
+  Counter* queries_;         ///< admissions (every entry point).
   Counter* executions_;      ///< enumerations actually run.
   Counter* coalesced_;       ///< served by joining a leader.
   Counter* failures_;        ///< results with !status.ok().
   Counter* slow_retained_;   ///< traces retained in the ring.
-  Gauge* async_pending_;     ///< admitted-but-uncompleted async queries.
+  Gauge* async_pending_;     ///< admitted-but-uncompleted queries.
   Histogram* query_seconds_;
   Histogram* phase_construct_;
   Histogram* phase_color_;
@@ -330,13 +350,10 @@ class QueryExecutor {
   std::function<void(const QueryRequest&, const QueryResult&)>
       slow_query_log_;
 
+  /// In-flight executions by CanonicalCacheKey; guarded by inflight_mu_,
+  /// which also serializes admission against the leaders' publication.
   std::mutex inflight_mu_;
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
-  /// In-flight streaming leaders, keyed like inflight_ (guarded by
-  /// inflight_mu_). Kept separate: a streaming duplicate needs the chunk
-  /// backlog, which a batch slot does not carry.
-  std::unordered_map<std::string, std::shared_ptr<StreamFlight>>
-      stream_inflight_;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> inflight_;
   std::mutex hook_mu_;
   std::function<void(const QueryRequest&)> execute_hook_;  // guarded by hook_mu_
 

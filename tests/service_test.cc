@@ -731,6 +731,139 @@ TEST(QueryExecutorAsyncTest, PartialLeaderReadmitsItsWaiters) {
   executor.SetExecuteHook(nullptr);
 }
 
+/// A synchronous Execute duplicate is a subscriber of the async leader's
+/// flight like any other: it is counted as pending while it waits, runs
+/// nothing itself, and returns the leader's summary as coalesced.
+TEST(QueryExecutorAsyncTest, SyncDuplicateSubscribesToAsyncLeader) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("g", ServiceTestGraph()).ok());
+  QueryExecutorOptions options;
+  options.num_threads = 2;
+  QueryExecutor executor(catalog, options);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int runs = 0;
+  bool release = false;
+  executor.SetExecuteHook([&](const QueryRequest&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++runs > 1) return;  // only the leader parks.
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+
+  QueryRequest req;
+  req.graph = "g";
+  req.params = {2, 2, 1, 0.0};
+
+  bool leader_done = false;
+  QueryResult leader;
+  executor.ExecuteAsync(req, [&](QueryResult r) {
+    std::lock_guard<std::mutex> lock(mu);
+    leader = std::move(r);
+    leader_done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return runs == 1; });
+  }
+
+  QueryResult sync;
+  std::thread caller([&] { sync = executor.Execute(req); });
+  // Bounded poll: the duplicate registers without running anything.
+  for (int i = 0; i < 10000 && executor.async_pending() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(executor.async_pending(), 2u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(runs, 1) << "the sync duplicate must not execute";
+    release = true;
+    cv.notify_all();
+  }
+  caller.join();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return leader_done; });
+  }
+  executor.SetExecuteHook(nullptr);
+
+  ASSERT_TRUE(leader.status.ok());
+  ASSERT_TRUE(sync.status.ok());
+  EXPECT_FALSE(leader.coalesced);
+  EXPECT_TRUE(sync.coalesced);
+  EXPECT_EQ(sync.summary.count, leader.summary.count);
+  EXPECT_EQ(sync.summary.digest, leader.summary.digest);
+  EXPECT_EQ(executor.execution_count(), 1u);
+  EXPECT_EQ(executor.async_pending(), 0u);
+}
+
+/// A stream cannot subscribe to a summary-only flight (it has no chunk
+/// backlog to replay), so an unbudgeted stream arriving while one is in
+/// flight runs itself — and streams the same result set.
+TEST(QueryExecutorAsyncTest, StreamBehindSummaryLeaderRunsItself) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("g", ServiceTestGraph()).ok());
+  QueryExecutorOptions options;
+  options.num_threads = 2;
+  options.stream_chunk_results = 16;
+  QueryExecutor executor(catalog, options);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int runs = 0;
+  bool release = false;
+  executor.SetExecuteHook([&](const QueryRequest&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++runs > 1) return;  // only the summary leader parks.
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+
+  QueryRequest req;
+  req.graph = "g";
+  req.params = {2, 2, 1, 0.0};
+
+  bool leader_done = false;
+  QueryResult leader;
+  executor.ExecuteAsync(req, [&](QueryResult r) {
+    std::lock_guard<std::mutex> lock(mu);
+    leader = std::move(r);
+    leader_done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return runs == 1; });
+  }
+
+  // The stream completes on the free runner while the leader is parked.
+  testing::StreamRun stream;
+  stream.Start(executor, req);
+  stream.Wait();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return leader_done; });
+  }
+  executor.SetExecuteHook(nullptr);
+
+  ASSERT_TRUE(leader.status.ok());
+  ASSERT_TRUE(stream.result.status.ok());
+  EXPECT_FALSE(stream.result.coalesced);
+  EXPECT_FALSE(stream.result.cache_hit);
+  ASSERT_GT(stream.chunks.size(), 2u);
+  const QuerySummary streamed = testing::SummarizeChunks(stream.chunks);
+  EXPECT_EQ(streamed.count, leader.summary.count);
+  EXPECT_EQ(streamed.digest, leader.summary.digest);
+  EXPECT_EQ(executor.execution_count(), 2u);
+}
+
 /// Cache hits complete the async path inline on the calling thread — no
 /// runner round-trip for served-from-cache queries.
 TEST(QueryExecutorAsyncTest, CacheHitsCompleteInline) {

@@ -3,8 +3,9 @@
 // byte-equivalence (count + order-independent digest) across all four
 // engine paths at thread widths {1, 2, 8}, top-k agreement with the full
 // enumeration under every rank with branch-and-bound pruning live, the
-// streaming single-flight (late subscriber attaches to the leader's
-// chunk stream), payload-cache chunk replay, the chunk wire codec, and
+// streaming single-flight (a late subscriber attaches to the leader's
+// chunk stream; a summary-only duplicate joins it without chunks),
+// payload-cache chunk replay, the chunk wire codec, and
 // the server line protocol's chunked framing + strict trace/cache
 // argument validation. Runs in the TSan job (.github/workflows/ci.yml)
 // so the chunk fan-out and prune-bound publication are raced for real.
@@ -30,6 +31,7 @@
 #include "service/query_executor.h"
 #include "service/server.h"
 #include "service/wire.h"
+#include "test_util.h"
 
 namespace fairbc {
 namespace {
@@ -68,49 +70,8 @@ Biclique MakeBiclique(std::vector<VertexId> upper, std::vector<VertexId> lower) 
   return b;
 }
 
-// Reassembles a stream's payload into the same order-independent summary
-// the executor computes, so streamed output can be compared byte-for-byte
-// (count/digest/max sizes) against a batch run.
-QuerySummary SummarizeChunks(
-    const std::vector<QueryExecutor::StreamChunk>& chunks) {
-  DigestAccumulator acc;
-  BicliqueSink sink = acc.Wrap([](const Biclique&) { return true; });
-  for (const auto& chunk : chunks)
-    for (const Biclique& b : chunk.bicliques) sink(b);
-  QuerySummary summary;
-  acc.FillSummary(&summary);
-  return summary;
-}
-
-// Async chunk/result collector for ExecuteStreaming (which returns after
-// admission; chunks and completion arrive from runner threads).
-struct StreamRun {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  QueryResult result;
-  std::vector<QueryExecutor::StreamChunk> chunks;
-
-  void Start(QueryExecutor& exec, const QueryRequest& req) {
-    exec.ExecuteStreaming(
-        req,
-        [this](const QueryExecutor::StreamChunk& chunk) {
-          std::lock_guard<std::mutex> lock(mu);
-          chunks.push_back(chunk);
-        },
-        [this](QueryResult r) {
-          std::lock_guard<std::mutex> lock(mu);
-          result = std::move(r);
-          done = true;
-          cv.notify_all();
-        });
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return done; });
-  }
-};
+using ::fairbc::testing::StreamRun;
+using ::fairbc::testing::SummarizeChunks;
 
 // --- TopKKeeper ------------------------------------------------------------
 
@@ -394,6 +355,71 @@ TEST(StreamSingleFlightTest, LateSubscriberAttachesToLeaderChunkStream) {
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(leader.chunks.size(), follower.chunks.size());
   EXPECT_EQ(follower.result.summary.digest, leader.result.summary.digest);
+}
+
+// A summary-only duplicate of an in-flight stream needs no chunks, so it
+// joins the streaming leader's flight as a plain subscriber instead of
+// running the engines a second time.
+TEST(StreamSingleFlightTest, SummaryDuplicateJoinsStreamingLeader) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("g", StreamTestGraph()).ok());
+  QueryExecutorOptions options;
+  options.num_threads = 2;
+  options.stream_chunk_results = 32;
+  QueryExecutor exec(catalog, options);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int runs = 0;
+  bool release = false;
+  exec.SetExecuteHook([&](const QueryRequest&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++runs > 1) return;  // only the leader parks.
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+
+  QueryRequest req = BaseRequest("g", FairModel::kSsfbc, FairAlgo::kPlusPlus, 1);
+  req.params.alpha = 3;
+  req.params.beta = 3;
+  req.use_cache = true;
+
+  StreamRun leader;
+  leader.Start(exec, req);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return runs == 1; });
+  }
+  bool summary_done = false;
+  QueryResult summary;
+  exec.ExecuteAsync(req, [&](QueryResult r) {
+    std::lock_guard<std::mutex> lock(mu);
+    summary = std::move(r);
+    summary_done = true;
+    cv.notify_all();
+  });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  leader.Wait();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return summary_done; });
+  }
+  exec.SetExecuteHook(nullptr);
+
+  ASSERT_TRUE(leader.result.status.ok());
+  ASSERT_TRUE(summary.status.ok());
+  EXPECT_FALSE(leader.result.coalesced);
+  EXPECT_TRUE(summary.coalesced);
+  EXPECT_GT(summary.summary.count, 0u);
+  EXPECT_EQ(summary.summary.count, leader.result.summary.count);
+  EXPECT_EQ(summary.summary.digest, leader.result.summary.digest);
+  EXPECT_TRUE(summary.bicliques.empty());
+  EXPECT_EQ(exec.execution_count(), 1u);
+  EXPECT_EQ(exec.async_pending(), 0u);
 }
 
 TEST(StreamCacheTest, RetainedPayloadReplaysChunksOnRepeat) {

@@ -69,4 +69,15 @@ std::vector<Biclique> Canonicalize(std::vector<Biclique> bicliques) {
   return bicliques;
 }
 
+QuerySummary SummarizeChunks(
+    const std::vector<QueryExecutor::StreamChunk>& chunks) {
+  DigestAccumulator acc;
+  BicliqueSink sink = acc.Wrap([](const Biclique&) { return true; });
+  for (const auto& chunk : chunks)
+    for (const Biclique& b : chunk.bicliques) sink(b);
+  QuerySummary summary;
+  acc.FillSummary(&summary);
+  return summary;
+}
+
 }  // namespace fairbc::testing

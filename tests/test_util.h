@@ -1,11 +1,15 @@
 #ifndef FAIRBC_TESTS_TEST_UTIL_H_
 #define FAIRBC_TESTS_TEST_UTIL_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "core/enumerate.h"
 #include "graph/bipartite_graph.h"
+#include "service/query.h"
+#include "service/query_executor.h"
 
 namespace fairbc::testing {
 
@@ -37,6 +41,42 @@ std::vector<Biclique> Collect(Fn&& fn, const BipartiteGraph& g,
   fn(g, params, options, sink.AsSink());
   return Canonicalize(sink.results());
 }
+
+/// Reassembles a stream's payload into the same order-independent summary
+/// the executor computes, so streamed output can be compared byte-for-byte
+/// (count/digest/max sizes) against a batch run.
+QuerySummary SummarizeChunks(
+    const std::vector<QueryExecutor::StreamChunk>& chunks);
+
+// Async chunk/result collector for ExecuteStreaming (which returns after
+// admission; chunks and completion arrive from runner threads).
+struct StreamRun {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  QueryResult result;
+  std::vector<QueryExecutor::StreamChunk> chunks;
+
+  void Start(QueryExecutor& exec, const QueryRequest& req) {
+    exec.ExecuteStreaming(
+        req,
+        [this](const QueryExecutor::StreamChunk& chunk) {
+          std::lock_guard<std::mutex> lock(mu);
+          chunks.push_back(chunk);
+        },
+        [this](QueryResult r) {
+          std::lock_guard<std::mutex> lock(mu);
+          result = std::move(r);
+          done = true;
+          cv.notify_all();
+        });
+  }
+
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return done; });
+  }
+};
 
 }  // namespace fairbc::testing
 
