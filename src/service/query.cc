@@ -1,6 +1,7 @@
 #include "service/query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -92,6 +93,19 @@ std::optional<TopKRank> ParseTopKRank(const std::string& name) {
   return std::nullopt;
 }
 
+std::optional<VertexOrdering> ParseVertexOrdering(const std::string& name) {
+  if (name == "deg") return VertexOrdering::kDegreeDesc;
+  if (name == "id") return VertexOrdering::kId;
+  return std::nullopt;
+}
+
+std::optional<PruningLevel> ParsePruningLevel(const std::string& name) {
+  if (name == "colorful") return PruningLevel::kColorful;
+  if (name == "core") return PruningLevel::kCore;
+  if (name == "none") return PruningLevel::kNone;
+  return std::nullopt;
+}
+
 const char* ToString(VertexOrdering ordering) {
   return ordering == VertexOrdering::kId ? "id" : "deg";
 }
@@ -114,6 +128,40 @@ bool ValidRequestId(const std::string& token) {
     if (c <= 0x20 || c >= 0x7f || c == '"' || c == '\\') return false;
   }
   return true;
+}
+
+Status ValidateQueryRequest(const QueryRequest& request) {
+  constexpr std::uint32_t kMaxParam = 1'000'000'000;
+  if (request.graph.empty()) {
+    return Status::InvalidArgument("query needs graph=NAME");
+  }
+  for (auto [key, value] : {std::pair<const char*, std::uint32_t>{
+                                "alpha", request.params.alpha},
+                            {"beta", request.params.beta},
+                            {"delta", request.params.delta},
+                            {"top_k", request.top_k}}) {
+    if (value > kMaxParam) {
+      return Status::InvalidArgument(std::string(key) +
+                                     " must be in [0, 1000000000]");
+    }
+  }
+  // Negated so that a NaN theta fails too.
+  if (!(request.params.theta >= 0.0 && request.params.theta <= 1.0)) {
+    return Status::InvalidArgument("theta must be in [0, 1]");
+  }
+  if (!std::isfinite(request.options.time_budget_seconds) ||
+      request.options.time_budget_seconds < 0.0) {
+    return Status::InvalidArgument("budget must be a finite number >= 0");
+  }
+  if (request.options.num_threads > 1024) {
+    return Status::InvalidArgument("threads must be in [0, 1024]");
+  }
+  if (!ValidRequestId(request.request_id)) {
+    return Status::InvalidArgument(
+        "rid must be at most 128 bytes of printable ASCII with no space, "
+        "quote or backslash");
+  }
+  return Status::OK();
 }
 
 const char* ToString(PruningLevel level) {

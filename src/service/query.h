@@ -124,6 +124,8 @@ std::string CanonicalCacheKey(const QueryRequest& req,
 std::optional<FairModel> ParseFairModel(const std::string& name);
 std::optional<FairAlgo> ParseFairAlgo(const std::string& name);
 std::optional<TopKRank> ParseTopKRank(const std::string& name);
+std::optional<VertexOrdering> ParseVertexOrdering(const std::string& name);
+std::optional<PruningLevel> ParsePruningLevel(const std::string& name);
 const char* ToString(FairModel model);
 const char* ToString(FairAlgo algo);
 const char* ToString(VertexOrdering ordering);
@@ -134,6 +136,15 @@ const char* ToString(TopKRank rank);
 /// printable ASCII with no space, double quote or backslash (so it embeds
 /// verbatim in JSON and the line protocol). Empty = absent = valid.
 bool ValidRequestId(const std::string& token);
+
+/// The value windows of every query the server runs, applied by both
+/// front doors after decoding (BuildQueryRequest for the line grammar,
+/// wire::DecodeQueryPayload for kQuery frames), so the two accept and
+/// reject the same requests: a non-empty graph name; alpha, beta, delta
+/// and top_k in [0, 1e9] (far above any meaningful threshold, far below
+/// uint32 wrap); theta in [0, 1]; a finite time budget >= 0; threads in
+/// [0, 1024]; a ValidRequestId request id.
+Status ValidateQueryRequest(const QueryRequest& request);
 
 }  // namespace fairbc
 

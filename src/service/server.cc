@@ -13,6 +13,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,55 +35,39 @@ namespace fairbc {
 
 namespace {
 
-/// alpha/beta/delta (and the sweep lists) live in [0, kMaxParamValue]:
-/// far above any meaningful fairness threshold, far below the uint32
-/// wrap that `query alpha=-1` used to silently hit.
-constexpr std::int64_t kMaxParamValue = 1'000'000'000;
-
 std::string Arg(const RequestLine& req, const std::string& key,
                 const std::string& default_value) {
   auto it = req.args.find(key);
   return it == req.args.end() ? default_value : it->second;
 }
 
-/// Strict integer argument: absent → default, present-but-unparsable or
-/// partially numeric ("3x") → error. Negative values parse fine here and
-/// are range-checked by the caller, so "alpha=-1" reports its real value
-/// instead of wrapping through an unsigned cast.
-Result<std::int64_t> IntArg(const RequestLine& req, const std::string& key,
-                            std::int64_t default_value) {
-  auto it = req.args.find(key);
-  if (it == req.args.end()) return default_value;
-  const std::string& text = it->second;
-  std::int64_t value = 0;
+/// Strict number: unparsable or partially numeric text ("3x") is an
+/// error naming `key`. Signed values are range-checked by the caller, so
+/// "n=-1" reports its real value; an unsigned T refuses a sign, so
+/// "alpha=-1" can never wrap through a cast.
+template <typename T>
+Result<T> ParseNumber(const std::string& key, const std::string& text) {
+  T value = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return Status::InvalidArgument(key + " must be an integer, got \"" + text +
-                                   "\"");
+    return Status::InvalidArgument(
+        key +
+        (std::is_floating_point_v<T> ? " must be a number"
+         : std::is_signed_v<T>       ? " must be an integer"
+                                     : " must be a non-negative integer") +
+        ", got \"" + text + "\"");
   }
   return value;
 }
 
-/// Strict floating-point argument, same contract as IntArg.
-Result<double> DoubleArg(const RequestLine& req, const std::string& key,
-                         double default_value) {
+/// Strict numeric argument: absent → default, otherwise ParseNumber.
+template <typename T = std::int64_t>
+Result<T> NumArg(const RequestLine& req, const std::string& key,
+                 std::type_identity_t<T> default_value) {
   auto it = req.args.find(key);
   if (it == req.args.end()) return default_value;
-  const std::string& text = it->second;
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(key);
-    return value;
-  } catch (...) {
-    return Status::InvalidArgument(key + " must be a number, got \"" + text +
-                                   "\"");
-  }
-}
-
-Status RangeError(const std::string& key, const std::string& range) {
-  return Status::InvalidArgument(key + " must be in " + range);
+  return ParseNumber<T>(key, it->second);
 }
 
 /// Strict-args check for introspection commands: any key outside `known`
@@ -91,14 +76,7 @@ Status RangeError(const std::string& key, const std::string& range) {
 Status CheckKnownArgs(const RequestLine& req,
                       std::initializer_list<const char*> known) {
   for (const auto& [key, value] : req.args) {
-    bool recognized = false;
-    for (const char* k : known) {
-      if (key == k) {
-        recognized = true;
-        break;
-      }
-    }
-    if (!recognized) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
       return Status::InvalidArgument(req.command + " does not take \"" + key +
                                      "\"");
     }
@@ -124,79 +102,55 @@ RequestLine ParseRequestLine(const std::string& line) {
   return req;
 }
 
-Result<QueryRequest> BuildQueryRequest(const RequestLine& req) {
+Result<QueryRequest> BuildQueryRequest(const RequestLine& req, bool* stream) {
   QueryRequest query;
   query.graph = Arg(req, "graph", "");
-  if (query.graph.empty()) {
-    return Status::InvalidArgument("query needs graph=NAME");
-  }
   auto model = ParseFairModel(Arg(req, "model", "ssfbc"));
   if (!model) return Status::InvalidArgument("bad model (ssfbc|bsfbc)");
   query.model = *model;
   auto algo = ParseFairAlgo(Arg(req, "algo", "pp"));
   if (!algo) return Status::InvalidArgument("bad algo (pp|bcem|naive)");
   query.algo = *algo;
-
-  for (auto [key, field, default_value] :
-       {std::tuple<const char*, std::uint32_t*, std::int64_t>
-            {"alpha", &query.params.alpha, 1},
-        {"beta", &query.params.beta, 1},
-        {"delta", &query.params.delta, 0}}) {
-    auto parsed = IntArg(req, key, default_value);
-    if (!parsed.ok()) return parsed.status();
-    if (parsed.value() < 0 || parsed.value() > kMaxParamValue) {
-      return RangeError(key, "[0, 1000000000]");
-    }
-    *field = static_cast<std::uint32_t>(parsed.value());
+  auto ordering = ParseVertexOrdering(Arg(req, "ordering", "deg"));
+  if (!ordering) return Status::InvalidArgument("bad ordering (deg|id)");
+  query.options.ordering = *ordering;
+  auto pruning = ParsePruningLevel(Arg(req, "pruning", "colorful"));
+  if (!pruning) {
+    return Status::InvalidArgument("bad pruning (colorful|core|none)");
   }
-
-  auto theta = DoubleArg(req, "theta", 0.0);
-  if (!theta.ok()) return theta.status();
-  if (!(theta.value() >= 0.0) || !(theta.value() <= 1.0)) {
-    return RangeError("theta", "[0, 1]");
-  }
-  query.params.theta = theta.value();
-
-  const std::string ordering = Arg(req, "ordering", "deg");
-  query.options.ordering = ordering == "id" ? VertexOrdering::kId
-                                            : VertexOrdering::kDegreeDesc;
-  const std::string pruning = Arg(req, "pruning", "colorful");
-  query.options.pruning = pruning == "none"   ? PruningLevel::kNone
-                          : pruning == "core" ? PruningLevel::kCore
-                                              : PruningLevel::kColorful;
-
-  auto budget = DoubleArg(req, "budget", 0.0);
-  if (!budget.ok()) return budget.status();
-  if (!(budget.value() >= 0.0)) return RangeError("budget", "[0, inf)");
-  query.options.time_budget_seconds = budget.value();
-
-  auto threads = IntArg(req, "threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (threads.value() < 0 || threads.value() > 1024) {
-    return RangeError("threads", "[0, 1024]");
-  }
-  query.options.num_threads = static_cast<unsigned>(threads.value());
-
-  auto use_cache = IntArg(req, "cache", 1);
-  if (!use_cache.ok()) return use_cache.status();
-  query.use_cache = use_cache.value() != 0;
-
-  auto top_k = IntArg(req, "top_k", 0);
-  if (!top_k.ok()) return top_k.status();
-  if (top_k.value() < 0 || top_k.value() > kMaxParamValue) {
-    return RangeError("top_k", "[0, 1000000000]");
-  }
-  query.top_k = static_cast<std::uint32_t>(top_k.value());
+  query.options.pruning = *pruning;
   auto rank = ParseTopKRank(Arg(req, "rank", "weight"));
   if (!rank) return Status::InvalidArgument("bad rank (weight|size|balance)");
   query.rank = *rank;
 
-  query.request_id = Arg(req, "rid", "");
-  if (!ValidRequestId(query.request_id)) {
-    return Status::InvalidArgument(
-        "rid must be at most 128 bytes of printable ASCII with no space, "
-        "quote or backslash");
+  for (auto [key, field, default_value] :
+       {std::tuple<const char*, std::uint32_t*, std::uint32_t>{
+            "alpha", &query.params.alpha, 1},
+        {"beta", &query.params.beta, 1},
+        {"delta", &query.params.delta, 0},
+        {"top_k", &query.top_k, 0},
+        {"threads", &query.options.num_threads, 1}}) {
+    auto parsed = NumArg<std::uint32_t>(req, key, default_value);
+    if (!parsed.ok()) return parsed.status();
+    *field = parsed.value();
   }
+  for (auto [key, field] : {std::pair<const char*, double*>{
+                                "theta", &query.params.theta},
+                            {"budget", &query.options.time_budget_seconds}}) {
+    auto parsed = NumArg<double>(req, key, 0.0);
+    if (!parsed.ok()) return parsed.status();
+    *field = parsed.value();
+  }
+  auto use_cache = NumArg(req, "cache", 1);
+  if (!use_cache.ok()) return use_cache.status();
+  query.use_cache = use_cache.value() != 0;
+  auto streamed = NumArg(req, "stream", 0);
+  if (!streamed.ok()) return streamed.status();
+  if (stream != nullptr) *stream = streamed.value() != 0;
+  query.request_id = Arg(req, "rid", "");
+
+  Status valid = ValidateQueryRequest(query);
+  if (!valid.ok()) return valid;
   return query;
 }
 
@@ -205,13 +159,182 @@ std::string TagSessionJson(std::uint64_t id, std::string json) {
   return "{\"session\":" + std::to_string(id) + "," + json.substr(1);
 }
 
+namespace {
+
+/// A decoded query-running request: one query (a `query` line or a
+/// kQuery frame), or a `sweep` grid.
+struct QueryJob {
+  QueryRequest query;
+  bool stream = false;
+  /// A sweep's grid points, alphas-outer / betas / deltas-inner; empty
+  /// for a query.
+  std::vector<QueryRequest> sweep;
+};
+
+bool RunsQueries(const RequestLine& req) {
+  return req.command == "query" || req.command == "sweep";
+}
+
+/// Decodes a kQuery frame payload into a job.
+Result<QueryJob> DecodeQueryJob(std::string_view payload) {
+  QueryJob job;
+  auto query = wire::DecodeQueryPayload(payload, &job.stream);
+  if (!query.ok()) return query.status();
+  job.query = std::move(query).value();
+  return job;
+}
+
+/// Decodes a `query` or `sweep` line into a job. A sweep's comma lists
+/// replace alpha/beta/delta over the other query keys; each point runs
+/// with one thread (the grid is the unit of parallelism, as in
+/// QueryExecutor::ExecuteBatch) and must pass ValidateQueryRequest.
+Result<QueryJob> DecodeQueryJob(const RequestLine& req) {
+  QueryJob job;
+  if (req.command == "query") {
+    auto query = BuildQueryRequest(req, &job.stream);
+    if (!query.ok()) return query.status();
+    job.query = std::move(query).value();
+    return job;
+  }
+  RequestLine base = req;
+  base.args["alpha"] = base.args["beta"] = base.args["delta"] = "0";
+  auto prototype = BuildQueryRequest(base);
+  if (!prototype.ok()) return prototype.status();
+  std::vector<std::uint32_t> alphas, betas, deltas;
+  for (auto [key, fallback, values] :
+       {std::tuple<std::string, const char*, std::vector<std::uint32_t>*>{
+            "alphas", "1", &alphas},
+        {"betas", "1", &betas},
+        {"deltas", "0", &deltas}}) {
+    std::istringstream ss(Arg(req, key, fallback));
+    for (std::string token; std::getline(ss, token, ',');) {
+      auto value = ParseNumber<std::uint32_t>(key, token);
+      if (!value.ok()) return value.status();
+      values->push_back(value.value());
+    }
+    if (values->empty()) {
+      return Status::InvalidArgument(key + " wants a nonempty comma list");
+    }
+  }
+  constexpr std::size_t kMaxSweep = 4096;
+  if (alphas.size() * betas.size() * deltas.size() > kMaxSweep) {
+    return Status::InvalidArgument("sweep grid too large (max 4096 points)");
+  }
+  QueryRequest point = std::move(prototype).value();
+  point.options.num_threads = 1;
+  for (std::uint32_t alpha : alphas) {
+    for (std::uint32_t beta : betas) {
+      for (std::uint32_t delta : deltas) {
+        point.params.alpha = alpha;
+        point.params.beta = beta;
+        point.params.delta = delta;
+        Status valid = ValidateQueryRequest(point);
+        if (!valid.ok()) return valid;
+        job.sweep.push_back(point);
+      }
+    }
+  }
+  return job;
+}
+
+/// What AdmitQuery hands its reply callback.
+enum class Render {
+  kLine,    ///< tagged reply; chunks as tagged {"cmd":"chunk"} JSON lines.
+  kBinary,  ///< tagged reply; chunks as kReplyChunk payloads.
+  kPoint,   ///< the untagged reply object: one result of a sweep.
+};
+
+/// The one admission of every query the server runs: ExecuteAsync, or
+/// ExecuteStreaming for a stream. Chunk bodies and the final reply are
+/// rendered here, once each, and handed to `reply(body, final)` in
+/// stream order, the final reply last. The final reply is rendered
+/// under a "serialize" span, which lands in a retained trace as a tail
+/// sibling of the root "query" span. `reply` runs on whichever thread
+/// completes the query (inline on a cache hit), so it must be cheap and
+/// must not call back into the executor. Nothing here refers to a
+/// session or connection object: one that closes mid-query only drops
+/// the reply.
+template <typename Reply>
+void AdmitQuery(QueryExecutor& executor, std::uint64_t session,
+                const QueryRequest& query, bool stream, Render render,
+                Reply reply) {
+  auto complete = [session, query, render, reply](QueryResult result) {
+    std::string body;
+    {
+      TraceSpan serialize_span(result.trace.get(), "serialize");
+      body = QueryResultJson(query, result);
+      if (render != Render::kPoint) {
+        body = TagSessionJson(session, std::move(body));
+      }
+    }
+    reply(std::move(body), /*final=*/true);
+  };
+  if (!stream) {
+    executor.ExecuteAsync(query, std::move(complete));
+    return;
+  }
+  executor.ExecuteStreaming(
+      query,
+      [session, query, render,
+       reply](const QueryExecutor::StreamChunk& chunk) {
+        // The executor's empty end-of-stream marker is dropped: the
+        // kReplyEnd frame / regular reply line is the wire's marker.
+        if (chunk.final) return;
+        reply(render == Render::kBinary
+                  ? wire::EncodeChunkPayload(chunk.seq, chunk.results_so_far,
+                                             chunk.nodes_so_far,
+                                             chunk.bicliques)
+                  : TagSessionJson(session, StreamChunkJson(query, chunk)),
+              /*final=*/false);
+      },
+      std::move(complete));
+}
+
+/// Admits a decoded job: a query directly, a sweep as one AdmitQuery per
+/// grid point, whose replies are joined in grid order into one tagged
+/// reply when the last point completes.
+template <typename Reply>
+void AdmitJob(QueryExecutor& executor, std::uint64_t session, QueryJob job,
+              bool binary, Reply reply) {
+  if (job.sweep.empty()) {
+    AdmitQuery(executor, session, job.query, job.stream,
+               binary ? Render::kBinary : Render::kLine, std::move(reply));
+    return;
+  }
+  struct Sweep {
+    explicit Sweep(std::size_t n) : results(n), remaining(n) {}
+    std::vector<std::string> results;
+    std::atomic<std::size_t> remaining;
+  };
+  auto sweep = std::make_shared<Sweep>(job.sweep.size());
+  for (std::size_t i = 0; i < job.sweep.size(); ++i) {
+    auto point_reply = [sweep, i, session, reply](std::string body, bool) {
+      // Each point owns its result slot; the acq_rel count hands all of
+      // them to the last point to finish.
+      sweep->results[i] = std::move(body);
+      if (sweep->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+        return;
+      }
+      std::string out = "{\"ok\":true,\"cmd\":\"sweep\",\"queries\":" +
+                        std::to_string(sweep->results.size()) +
+                        ",\"results\":[";
+      for (std::size_t j = 0; j < sweep->results.size(); ++j) {
+        if (j > 0) out += ',';
+        out += sweep->results[j];
+      }
+      out += "]}";
+      reply(TagSessionJson(session, std::move(out)), /*final=*/true);
+    };
+    AdmitQuery(executor, session, job.sweep[i], /*stream=*/false,
+               Render::kPoint, std::move(point_reply));
+  }
+}
+
+}  // namespace
+
 ServerSession::ServerSession(GraphCatalog& catalog, QueryExecutor& executor,
                              std::uint64_t id)
     : catalog_(catalog), executor_(executor), id_(id) {}
-
-std::string ServerSession::Tag(std::string json) const {
-  return TagSessionJson(id_, std::move(json));
-}
 
 bool ServerSession::Handle(const std::string& line, std::string* response,
                            bool* stop_server) {
@@ -220,16 +343,40 @@ bool ServerSession::Handle(const std::string& line, std::string* response,
     response->clear();
     return true;
   }
-  if (req.command == "quit") {
-    *response = Tag("{\"ok\":true,\"cmd\":\"quit\"}");
+  if (req.command == "quit" || req.command == "stop") {
+    if (req.command == "stop") *stop_server = true;
+    *response =
+        TagSessionJson(id_, "{\"ok\":true,\"cmd\":\"" + req.command + "\"}");
     return false;
   }
-  if (req.command == "stop") {
-    *stop_server = true;
-    *response = Tag("{\"ok\":true,\"cmd\":\"stop\"}");
-    return false;
+  if (!RunsQueries(req)) {
+    *response = TagSessionJson(id_, Dispatch(req));
+    return true;
   }
-  *response = Tag(Dispatch(req));
+  auto job = DecodeQueryJob(req);
+  if (!job.ok()) {
+    *response = TagSessionJson(id_, ErrorJson(job.status()));
+    return true;
+  }
+  // A stream's chunk lines come back ahead of its reply line, one JSON
+  // object per line: the framing the reactor writes progressively.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  response->clear();
+  AdmitJob(executor_, id_, std::move(job).value(), /*binary=*/false,
+           [&](std::string body, bool final) {
+             // Notify under mu: the waiter cannot return (destroying mu
+             // and cv) before this callback has let go of them.
+             std::lock_guard<std::mutex> lock(mu);
+             if (!response->empty()) *response += '\n';
+             *response += body;
+             if (!final) return;
+             done = true;
+             cv.notify_one();
+           });
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done; });
   return true;
 }
 
@@ -241,8 +388,6 @@ std::string ServerSession::Dispatch(const RequestLine& req) {
   if (req.command == "drop") return Drop(req);
   if (req.command == "catalog") return Catalog();
   if (req.command == "cache") return Cache(req);
-  if (req.command == "query") return Query(req);
-  if (req.command == "sweep") return Sweep(req);
   if (req.command == "metrics") return Metrics();
   if (req.command == "trace") return Trace(req);
   return ErrorJson("unknown command: " + req.command);
@@ -271,11 +416,10 @@ std::string ServerSession::Trace(const RequestLine& req) {
   // parameter hardening.
   Status known = CheckKnownArgs(req, {"n"});
   if (!known.ok()) return TypedErrorJson("bad_argument", known.message());
-  auto n = IntArg(req, "n", 4);
+  auto n = NumArg(req, "n", 4);
   if (!n.ok()) return TypedErrorJson("bad_argument", n.status().message());
   if (n.value() < 1 || n.value() > 1024) {
-    return TypedErrorJson("bad_argument",
-                          RangeError("n", "[1, 1024]").message());
+    return TypedErrorJson("bad_argument", "n must be in [1, 1024]");
   }
   const auto traces =
       executor_.traces().Snapshot(static_cast<std::size_t>(n.value()));
@@ -311,13 +455,13 @@ std::string ServerSession::Gen(const RequestLine& req) {
   // Validate everything before casting: the generators FAIRBC_CHECK
   // (abort) on bad parameters, and a resident server must never die
   // on a request line.
-  auto nu = IntArg(req, "nu", 1000);
-  auto nv = IntArg(req, "nv", 1000);
-  auto edges = IntArg(req, "edges", 5000);
-  auto attrs = IntArg(req, "attrs", 2);
-  auto communities = IntArg(req, "communities", 60);
-  auto gamma = DoubleArg(req, "gamma", 2.2);
-  auto seed = IntArg(req, "seed", 42);
+  auto nu = NumArg(req, "nu", 1000);
+  auto nv = NumArg(req, "nv", 1000);
+  auto edges = NumArg(req, "edges", 5000);
+  auto attrs = NumArg(req, "attrs", 2);
+  auto communities = NumArg(req, "communities", 60);
+  auto gamma = NumArg<double>(req, "gamma", 2.2);
+  auto seed = NumArg(req, "seed", 42);
   for (const auto* parsed : {&nu, &nv, &edges, &attrs, &communities, &seed}) {
     if (!parsed->ok()) return ErrorJson(parsed->status());
   }
@@ -376,9 +520,9 @@ std::string ServerSession::Save(const RequestLine& req) {
   }
   auto entry = catalog_.Get(name);
   if (entry == nullptr) return ErrorJson("unknown graph: " + name);
-  auto compress = IntArg(req, "compress", 0);
+  auto compress = NumArg(req, "compress", 0);
   if (!compress.ok()) return ErrorJson(compress.status());
-  auto block = IntArg(req, "block", kDefaultSnapshotBlockEdges);
+  auto block = NumArg(req, "block", kDefaultSnapshotBlockEdges);
   if (!block.ok()) return ErrorJson(block.status());
   if (block.value() < 1 || block.value() > 1'000'000'000) {
     return ErrorJson("block must be in [1, 1000000000]");
@@ -419,130 +563,6 @@ std::string ServerSession::Catalog() {
     if (!first) os << ",";
     first = false;
     os << CatalogEntryJson(*entry);
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string ServerSession::Query(const RequestLine& req) {
-  auto built = BuildQueryRequest(req);
-  if (!built.ok()) return ErrorJson(built.status());
-  const QueryRequest query = std::move(built).value();
-  auto stream = IntArg(req, "stream", 0);
-  if (!stream.ok()) return ErrorJson(stream.status());
-  if (stream.value() == 0) {
-    QueryResult result = executor_.Execute(query);
-    // The serialize span lands in the already-retained recorder after the
-    // root "query" span closed — a sibling tail, not a child.
-    TraceSpan serialize_span(result.trace.get(), "serialize");
-    return QueryResultJson(query, result);
-  }
-  // `query ... stream=1` over a synchronous line stream: chunk lines are
-  // collected in arrival order and returned ahead of the final reply,
-  // one JSON object per line — the same framing the reactor writes
-  // progressively on TCP connections. Handle() tags the first returned
-  // line, so only the lines after it are tagged here.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool finished = false;
-  std::vector<std::string> lines;
-  QueryResult result;
-  executor_.ExecuteStreaming(
-      query,
-      [&](const QueryExecutor::StreamChunk& chunk) {
-        if (chunk.final) return;  // the reply line is the end marker.
-        std::lock_guard<std::mutex> lock(mu);
-        lines.push_back(StreamChunkJson(query, chunk));
-      },
-      [&](QueryResult r) {
-        std::lock_guard<std::mutex> lock(mu);
-        result = std::move(r);
-        finished = true;
-        cv.notify_one();
-      });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return finished; });
-  TraceSpan serialize_span(result.trace.get(), "serialize");
-  lines.push_back(QueryResultJson(query, result));
-  std::string out = lines.front();
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    out += '\n';
-    out += Tag(lines[i]);
-  }
-  return out;
-}
-
-// `sweep` expands a parameter grid (comma lists) into one batch and
-// admits it onto the executor's runner pool — this is where the server's
-// --threads width does concurrent work. Response: one JSON object
-// with the per-query results, positionally aligned with the grid in
-// alphas-outer / betas / deltas-inner order.
-std::string ServerSession::Sweep(const RequestLine& req) {
-  RequestLine base = req;
-  base.args["alpha"] = "0";
-  base.args["beta"] = "0";
-  base.args["delta"] = "0";
-  auto built = BuildQueryRequest(base);
-  if (!built.ok()) return ErrorJson(built.status());
-  const QueryRequest prototype = std::move(built).value();
-
-  // Each list value gets the same strict parse + range check as the
-  // scalar query parameters: `sweep alphas=-1` must be an error, not a
-  // wrapped-to-4294967295 grid point.
-  auto list = [&](const std::string& key, const std::string& fallback)
-      -> Result<std::vector<std::uint32_t>> {
-    std::vector<std::uint32_t> values;
-    std::istringstream ss(Arg(req, key, fallback));
-    std::string token;
-    while (std::getline(ss, token, ',')) {
-      std::int64_t value = 0;
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec != std::errc() || ptr != token.data() + token.size()) {
-        return Status::InvalidArgument(key + " wants a comma list of " +
-                                       "integers, got \"" + token + "\"");
-      }
-      if (value < 0 || value > kMaxParamValue) {
-        return RangeError(key + " values", "[0, 1000000000]");
-      }
-      values.push_back(static_cast<std::uint32_t>(value));
-    }
-    if (values.empty()) {
-      return Status::InvalidArgument(key + " wants a nonempty comma list");
-    }
-    return values;
-  };
-  auto alphas = list("alphas", "1");
-  if (!alphas.ok()) return ErrorJson(alphas.status());
-  auto betas = list("betas", "1");
-  if (!betas.ok()) return ErrorJson(betas.status());
-  auto deltas = list("deltas", "0");
-  if (!deltas.ok()) return ErrorJson(deltas.status());
-
-  constexpr std::size_t kMaxSweep = 4096;
-  if (alphas.value().size() * betas.value().size() * deltas.value().size() >
-      kMaxSweep) {
-    return ErrorJson("sweep grid too large (max 4096 points)");
-  }
-
-  std::vector<QueryRequest> grid;
-  for (std::uint32_t alpha : alphas.value()) {
-    for (std::uint32_t beta : betas.value()) {
-      for (std::uint32_t delta : deltas.value()) {
-        QueryRequest point = prototype;
-        point.params.alpha = alpha;
-        point.params.beta = beta;
-        point.params.delta = delta;
-        grid.push_back(point);
-      }
-    }
-  }
-  std::vector<QueryResult> results = executor_.ExecuteBatch(grid);
-  std::ostringstream os;
-  os << "{\"ok\":true,\"cmd\":\"sweep\",\"queries\":" << grid.size()
-     << ",\"results\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    os << (i > 0 ? "," : "") << QueryResultJson(grid[i], results[i]);
   }
   os << "]}";
   return os.str();
@@ -618,21 +638,16 @@ class Reactor {
     PostOp(Op{Op::kAdopt, fd, id, 0, {}});
   }
 
-  /// Delivers an async query result for connection `conn_id`'s response
-  /// slot `seq`. Called from executor runner threads (or inline from a
-  /// reactor thread on a cache hit); the slot's framing was fixed at
-  /// admission, only the body travels.
-  void PostCompletion(std::uint64_t conn_id, std::uint64_t seq,
-                      std::string body) {
-    PostOp(Op{Op::kComplete, -1, conn_id, seq, std::move(body)});
-  }
-
-  /// Delivers one encoded stream chunk for connection `conn_id`'s slot
-  /// `seq`. The op queue is FIFO, so chunk order — and the final
-  /// PostCompletion after the last chunk — is inherited from the
-  /// executor's per-stream delivery order.
-  void PostChunk(std::uint64_t conn_id, std::uint64_t seq, std::string body) {
-    PostOp(Op{Op::kChunk, -1, conn_id, seq, std::move(body)});
+  /// Delivers one reply body for connection `conn_id`'s response slot
+  /// `seq`: a stream chunk, or (`final`) the body that completes the
+  /// slot. Called from executor runner threads (or inline from a reactor
+  /// thread on a cache hit); the slot's framing was fixed at admission,
+  /// only the body travels. The op queue is FIFO, so chunk order, and the
+  /// final body after the last chunk, follow the executor's delivery order.
+  void PostReply(std::uint64_t conn_id, std::uint64_t seq, std::string body,
+                 bool final) {
+    PostOp(Op{final ? Op::kComplete : Op::kChunk, -1, conn_id, seq,
+              std::move(body)});
   }
 
   void RequestStop() {
@@ -649,16 +664,14 @@ class Reactor {
       std::lock_guard<std::mutex> lock(ops_mu_);
       ops.swap(ops_);
     }
+    unsigned reaped = static_cast<unsigned>(conns_.size());
     for (const Op& op : ops) {
-      if (op.kind == Op::kAdopt) {
-        ::close(op.fd);
-        server_.active_conns_.fetch_sub(1, std::memory_order_release);
-        server_.conns_gauge_->Decrement();
-      }
+      if (op.kind != Op::kAdopt) continue;
+      ::close(op.fd);
+      ++reaped;
     }
-    server_.active_conns_.fetch_sub(static_cast<unsigned>(conns_.size()),
-                                    std::memory_order_release);
-    server_.conns_gauge_->Add(-static_cast<std::int64_t>(conns_.size()));
+    server_.active_conns_.fetch_sub(reaped, std::memory_order_release);
+    server_.conns_gauge_->Add(-static_cast<std::int64_t>(reaped));
     conns_.clear();  // Connection dtor closes the fds.
   }
 
@@ -675,14 +688,14 @@ class Reactor {
     const std::uint64_t id;
     enum class Proto { kUnknown, kLine, kBinary };
     Proto proto = Proto::kUnknown;
+    bool binary() const { return proto == Proto::kBinary; }
     std::string rbuf;
     std::string wbuf;
     bool want_write = false;
     /// Set by quit/stop/EOF/protocol errors: buffered input after the
-    /// current request is discarded, no new requests are parsed.
-    bool stop_reading = false;
-    /// Close once every pending response has been written out.
-    bool close_after_flush = false;
+    /// current request is discarded, no new requests are parsed, and the
+    /// connection closes once every pending response has been written.
+    bool closing = false;
     ServerSession session;
 
     /// One response, in request order. Pipelining: a slot is appended
@@ -692,12 +705,10 @@ class Reactor {
     struct Slot {
       std::uint64_t seq = 0;
       bool ready = false;
-      bool binary = false;
-      /// Streaming query: chunk bodies flush as they arrive once the
-      /// slot reaches the front of the deque (progressive delivery,
-      /// still in request order); `ready` + `body` then close the stream
-      /// with a kReplyEnd frame / the regular reply line.
-      bool streaming = false;
+      /// kReplyEnd marks a streaming query: chunk bodies flush as they
+      /// arrive once the slot reaches the front of the deque (progressive
+      /// delivery, still in request order); `ready` + `body` then close
+      /// the stream with a kReplyEnd frame / the regular reply line.
       wire::Opcode opcode = wire::Opcode::kReply;
       std::uint64_t request_id = 0;
       std::string body;
@@ -875,15 +886,9 @@ class Reactor {
       CloseConn(c);
       return false;
     }
-    if (eof) {
-      c->stop_reading = true;
-      if (c->pending.empty() && c->wbuf.empty()) {
-        CloseConn(c);
-        return false;
-      }
-      // In-flight queries still owe responses; deliver them, then close.
-      c->close_after_flush = true;
-    }
+    // In-flight queries still owe responses; Flush delivers them, then
+    // closes.
+    if (eof) c->closing = true;
     return Flush(c);
   }
 
@@ -891,7 +896,7 @@ class Reactor {
   /// connection was closed.
   bool ProcessInput(Connection* c) {
     const std::size_t max_request = server_.options_.max_request_bytes;
-    while (!c->stop_reading) {
+    while (!c->closing) {
       if (c->proto == Connection::Proto::kUnknown) {
         if (c->rbuf.empty()) break;
         // Protocol negotiation: wire::kMagic's low byte is not printable
@@ -907,20 +912,17 @@ class Reactor {
         // hostile newline-free stream from allocating without bound).
         if (nl > max_request) {  // npos > max, so this covers both.
           if (nl != std::string::npos || c->rbuf.size() > max_request) {
-            Connection::Slot& slot = NewSlot(c, /*binary=*/false,
-                                             wire::Opcode::kReply, 0);
-            FillError(c, &slot, wire::ErrorCode::kTooLarge,
-                      "request line exceeds " + std::to_string(max_request) +
-                          " bytes");
-            c->stop_reading = true;
-            c->close_after_flush = true;
+            RespondError(c, 0, wire::ErrorCode::kTooLarge,
+                         "request line exceeds " +
+                             std::to_string(max_request) + " bytes");
+            c->closing = true;
           }
           break;
         }
         std::string line = c->rbuf.substr(0, nl);
         c->rbuf.erase(0, nl + 1);
         while (!line.empty() && line.back() == '\r') line.pop_back();
-        HandleCommandText(c, line, /*binary=*/false, 0);
+        HandleCommandText(c, line, 0);
       } else {
         wire::Frame frame;
         std::size_t consumed = 0;
@@ -930,11 +932,8 @@ class Reactor {
         if (decoded.status == wire::FrameStatus::kBad) {
           // A corrupt length-prefixed stream cannot be resynchronized:
           // one typed error frame, then hang up.
-          Connection::Slot& slot =
-              NewSlot(c, /*binary=*/true, wire::Opcode::kError, 0);
-          FillError(c, &slot, decoded.code, decoded.message);
-          c->stop_reading = true;
-          c->close_after_flush = true;
+          RespondError(c, 0, decoded.code, decoded.message);
+          c->closing = true;
           break;
         }
         c->rbuf.erase(0, consumed);
@@ -944,182 +943,142 @@ class Reactor {
     return Flush(c);
   }
 
-  Connection::Slot& NewSlot(Connection* c, bool binary, wire::Opcode opcode,
+  Connection::Slot& NewSlot(Connection* c, wire::Opcode opcode,
                             std::uint64_t request_id) {
     Connection::Slot slot;
     slot.seq = c->next_seq++;
-    slot.binary = binary;
     slot.opcode = opcode;
     slot.request_id = request_id;
     c->pending.push_back(std::move(slot));
     return c->pending.back();
   }
 
-  /// Formats a typed error into `slot` in the connection's own protocol:
-  /// a kError frame, or the line protocol's {"code":...} JSON (same
+  /// Queues a response that is complete already.
+  void Respond(Connection* c, wire::Opcode opcode, std::uint64_t request_id,
+               std::string body) {
+    Connection::Slot& slot = NewSlot(c, opcode, request_id);
+    slot.body = std::move(body);
+    slot.ready = true;
+  }
+
+  /// Answers with a typed error in the connection's own protocol: a
+  /// kError frame, or the line protocol's {"code":...} JSON (same
   /// category strings on both sides).
-  void FillError(Connection* c, Connection::Slot* slot, wire::ErrorCode code,
-                 const std::string& message) {
+  void RespondError(Connection* c, std::uint64_t request_id,
+                    wire::ErrorCode code, const std::string& message) {
     // Every typed error funnels through here, so this is the one place
     // the per-code error counters are bumped.
     server_.ErrorCounter(wire::ToString(code))->Increment();
-    slot->streaming = false;  // errors are single-frame, never kReplyEnd.
-    if (slot->binary) {
-      slot->opcode = wire::Opcode::kError;
-      slot->body = wire::EncodeErrorPayload(code, message);
-    } else {
-      slot->body =
-          TagSessionJson(c->id, TypedErrorJson(wire::ToString(code), message));
-    }
-    slot->ready = true;
+    Respond(c, wire::Opcode::kError, request_id,
+            c->binary()
+                ? wire::EncodeErrorPayload(code, message)
+                : TagSessionJson(c->id, TypedErrorJson(wire::ToString(code),
+                                                       message)));
   }
 
   /// One request line — from the line protocol or a kCommand frame.
-  /// Queries go async (the reactor thread never runs an enumeration);
-  /// everything else dispatches inline through the shared ServerSession.
-  void HandleCommandText(Connection* c, const std::string& line, bool binary,
+  /// Query-running commands go through Admit; everything else is
+  /// cheap and dispatches inline through the shared ServerSession.
+  void HandleCommandText(Connection* c, const std::string& line,
                          std::uint64_t request_id) {
     const RequestLine req = ParseRequestLine(line);
-    if (req.command == "query") {
-      Connection::Slot& slot =
-          NewSlot(c, binary, wire::Opcode::kReply, request_id);
-      auto built = BuildQueryRequest(req);
-      auto stream = IntArg(req, "stream", 0);
-      if (!built.ok() || !stream.ok()) {
-        const Status& bad = !built.ok() ? built.status() : stream.status();
-        if (binary) {
-          FillError(c, &slot, wire::ErrorCode::kBadRequest, bad.message());
-        } else {
-          // The line protocol's historical bad-query shape (no "code"
-          // field) — old clients parse it, the smoke oracle diffs it.
-          slot.body = TagSessionJson(c->id, ErrorJson(bad));
-          slot.ready = true;
-        }
-        return;
-      }
-      AdmitQuery(c, &slot, std::move(built).value(), stream.value() != 0);
+    if (RunsQueries(req)) {
+      Admit(c, request_id, DecodeQueryJob(req));
       return;
     }
     std::string response;
     bool stop_server = false;
     const bool keep_going = c->session.Handle(line, &response, &stop_server);
-    if (binary) {
+    if (c->binary() || !response.empty()) {
       // Binary framing answers EVERY request frame (pipelined clients
       // match responses positionally / by id), even where the line
       // protocol stays silent on blanks and comments.
-      Connection::Slot& slot =
-          NewSlot(c, /*binary=*/true, wire::Opcode::kReply, request_id);
-      slot.body = std::move(response);
-      slot.ready = true;
-    } else if (!response.empty()) {
-      Connection::Slot& slot =
-          NewSlot(c, /*binary=*/false, wire::Opcode::kReply, 0);
-      slot.body = std::move(response);
-      slot.ready = true;
+      Respond(c, wire::Opcode::kReply, request_id, std::move(response));
     }
     if (stop_server) server_.RequestStop();
     if (!keep_going) {
-      c->stop_reading = true;
-      c->close_after_flush = true;
+      c->closing = true;
     }
   }
 
   void HandleFrame(Connection* c, wire::Frame& frame) {
     switch (frame.opcode) {
-      case wire::Opcode::kPing: {
-        Connection::Slot& slot =
-            NewSlot(c, /*binary=*/true, wire::Opcode::kPong, frame.request_id);
-        slot.ready = true;
+      case wire::Opcode::kPing:
+        Respond(c, wire::Opcode::kPong, frame.request_id, "");
         return;
-      }
       case wire::Opcode::kCommand:
-        HandleCommandText(c, frame.payload, /*binary=*/true, frame.request_id);
+        HandleCommandText(c, frame.payload, frame.request_id);
         return;
-      case wire::Opcode::kQuery: {
-        Connection::Slot& slot = NewSlot(c, /*binary=*/true,
-                                         wire::Opcode::kReply,
-                                         frame.request_id);
-        bool stream = false;
-        auto built = wire::DecodeQueryPayload(frame.payload, &stream);
-        if (!built.ok()) {
-          FillError(c, &slot, wire::ErrorCode::kBadRequest,
-                    built.status().message());
-          return;
-        }
-        AdmitQuery(c, &slot, std::move(built).value(), stream);
+      case wire::Opcode::kQuery:
+        Admit(c, frame.request_id, DecodeQueryJob(frame.payload));
         return;
-      }
       default: {
         // DecodeFrame admits response opcodes (clients must decode
         // them), but a client sending one AT the server is confused.
-        Connection::Slot& slot =
-            NewSlot(c, /*binary=*/true, wire::Opcode::kError,
-                    frame.request_id);
-        FillError(c, &slot, wire::ErrorCode::kBadFrame,
-                  "response opcode sent to server");
-        c->stop_reading = true;
-        c->close_after_flush = true;
+        RespondError(c, frame.request_id, wire::ErrorCode::kBadFrame,
+                     "response opcode sent to server");
+        c->closing = true;
         return;
       }
     }
   }
 
-  /// Admission + async dispatch for one query. The slot is addressed by
-  /// (conn id, seq) — NOT by pointer — so a connection that dies while
-  /// the query runs just drops the completion.
-  void AdmitQuery(Connection* c, Connection::Slot* slot, QueryRequest query,
-                  bool stream) {
+  /// Every query-running request of this reactor's connections lands
+  /// here, decoded: one --max-inflight ticket per job, held until its
+  /// final reply is posted. Replies are addressed by (conn id, seq), not
+  /// by pointer, so a connection that dies mid-query just drops them.
+  void Admit(Connection* c, std::uint64_t request_id, Result<QueryJob> job) {
+    if (!job.ok() && c->binary()) {
+      RespondError(c, request_id, wire::ErrorCode::kBadRequest,
+                   job.status().message());
+      return;
+    }
+    if (!job.ok()) {
+      // The line protocol's historical bad-query shape (no "code"
+      // field) — old clients parse it, the smoke oracle diffs it.
+      Respond(c, wire::Opcode::kReply, request_id,
+              TagSessionJson(c->id, ErrorJson(job.status())));
+      return;
+    }
     const unsigned limit = server_.options_.max_inflight;
     unsigned current = server_.inflight_.fetch_add(1, std::memory_order_acq_rel);
     if (limit != 0 && current >= limit) {
       server_.inflight_.fetch_sub(1, std::memory_order_release);
-      FillError(c, slot, wire::ErrorCode::kBusy,
-                "server busy: max-inflight=" + std::to_string(limit));
+      RespondError(c, request_id, wire::ErrorCode::kBusy,
+                   "server busy: max-inflight=" + std::to_string(limit));
       return;
     }
     server_.inflight_gauge_->Increment();
-    TcpServer* server = &server_;
-    Reactor* self = this;
-    const std::uint64_t conn_id = c->id;
-    const std::uint64_t seq = slot->seq;
-    auto complete = [server, self, conn_id, seq, query](QueryResult result) {
-      std::string body;
-      {
-        // Retained traces get the response-serialization cost as a
-        // post-hoc span (a tail sibling of the root "query" span).
-        TraceSpan serialize_span(result.trace.get(), "serialize");
-        body = TagSessionJson(conn_id, QueryResultJson(query, result));
-      }
-      // Post BEFORE releasing the in-flight ticket: Serve()'s drain
-      // epilogue waits for inflight_ == 0 and may tear the server
-      // down right after, so the post — and every other touch of
-      // *server, the gauge included — must already have landed.
-      self->PostCompletion(conn_id, seq, std::move(body));
-      server->inflight_gauge_->Decrement();
-      server->inflight_.fetch_sub(1, std::memory_order_release);
-    };
-    if (!stream) {
-      server_.executor_.ExecuteAsync(query, std::move(complete));
-      return;
+    Connection::Slot& slot = NewSlot(
+        c, job.value().stream ? wire::Opcode::kReplyEnd : wire::Opcode::kReply,
+        request_id);
+    AdmitJob(
+        server_.executor_, c->id, std::move(job).value(), c->binary(),
+        [server = &server_, self = this, conn_id = c->id, seq = slot.seq](
+            std::string body, bool final) {
+          self->PostReply(conn_id, seq, std::move(body), final);
+          if (!final) return;
+          // The ticket goes only AFTER the final post: Serve()'s drain
+          // epilogue waits for inflight_ == 0 and may tear the server
+          // down right after, so the post — and every other touch of
+          // *server, the gauge included — must already have landed.
+          server->inflight_gauge_->Decrement();
+          server->inflight_.fetch_sub(1, std::memory_order_release);
+        });
+  }
+
+  /// Appends one response unit to wbuf in the slot's protocol: a frame,
+  /// or a line (the line protocol stays silent on an empty body).
+  static void Emit(Connection* c, const Connection::Slot& slot,
+                   wire::Opcode opcode, std::string body) {
+    if (c->binary()) {
+      wire::EncodeFrame(
+          wire::Frame{wire::kVersion, opcode, slot.request_id, std::move(body)},
+          &c->wbuf);
+    } else if (!body.empty()) {
+      c->wbuf += body;
+      c->wbuf += '\n';
     }
-    slot->streaming = true;
-    const bool binary = slot->binary;
-    server_.executor_.ExecuteStreaming(
-        query,
-        [self, conn_id, seq, binary,
-         query](const QueryExecutor::StreamChunk& chunk) {
-          // The executor's empty end-of-stream marker is dropped: the
-          // kReplyEnd frame / regular reply line is the wire's marker.
-          if (chunk.final) return;
-          std::string body =
-              binary ? wire::EncodeChunkPayload(chunk.seq,
-                                                chunk.results_so_far,
-                                                chunk.nodes_so_far,
-                                                chunk.bicliques)
-                     : TagSessionJson(conn_id, StreamChunkJson(query, chunk));
-          self->PostChunk(conn_id, seq, std::move(body));
-        },
-        std::move(complete));
   }
 
   /// Moves ready-in-order responses into wbuf and writes as much as the
@@ -1132,29 +1091,12 @@ class Reactor {
       // Stream chunks flush as soon as their slot reaches the front:
       // progressive delivery without ever reordering responses.
       while (!slot.chunks.empty()) {
-        if (slot.binary) {
-          wire::Frame frame;
-          frame.opcode = wire::Opcode::kReplyChunk;
-          frame.request_id = slot.request_id;
-          frame.payload = std::move(slot.chunks.front());
-          wire::EncodeFrame(frame, &c->wbuf);
-        } else {
-          c->wbuf += slot.chunks.front();
-          c->wbuf += '\n';
-        }
+        Emit(c, slot, wire::Opcode::kReplyChunk,
+             std::move(slot.chunks.front()));
         slot.chunks.pop_front();
       }
       if (!slot.ready) break;  // response (or stream tail) still pending.
-      if (slot.binary) {
-        wire::Frame frame;
-        frame.opcode = slot.streaming ? wire::Opcode::kReplyEnd : slot.opcode;
-        frame.request_id = slot.request_id;
-        frame.payload = std::move(slot.body);
-        wire::EncodeFrame(frame, &c->wbuf);
-      } else if (!slot.body.empty()) {
-        c->wbuf += slot.body;
-        c->wbuf += '\n';
-      }
+      Emit(c, slot, slot.opcode, std::move(slot.body));
       c->pending.pop_front();
     }
     bool wrote = false;
@@ -1181,7 +1123,7 @@ class Reactor {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->fd, &ev);
       c->want_write = want_write;
     }
-    if (c->close_after_flush && c->pending.empty() && c->wbuf.empty()) {
+    if (c->closing && c->pending.empty() && c->wbuf.empty()) {
       CloseConn(c);
       return false;
     }

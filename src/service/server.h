@@ -43,6 +43,7 @@ namespace fairbc {
 ///          {"cmd":"chunk",...} lines carrying the bicliques, followed
 ///          by the regular query reply line as the end-of-stream marker)
 ///   sweep graph=G alphas=2,3 betas=2,3 deltas=1,2 [query keys...]
+///         (one thread per grid point; one reply, in grid order)
 ///   cache        (cache + single-flight telemetry; takes no arguments —
 ///                 extra keys are a typed bad_argument error)
 ///   metrics      (full Prometheus exposition of the process registry,
@@ -77,13 +78,15 @@ struct RequestLine {
 RequestLine ParseRequestLine(const std::string& line);
 
 /// Builds a QueryRequest from a `query` line; unset keys keep the same
-/// defaults as `fairbc_cli enum`. Numeric arguments are strictly
-/// validated: alpha/beta/delta/top_k must be integers in [0, 1e9] (a
-/// negative value must NOT wrap to a huge unsigned), theta must be in
-/// [0, 1], budget must be >= 0 and threads in [0, 1024]; rid must pass
-/// ValidRequestId. The `stream` key is transport-level and read by the
-/// caller, not stored in the QueryRequest.
-Result<QueryRequest> BuildQueryRequest(const RequestLine& req);
+/// defaults as `fairbc_cli enum`. Arguments are strictly parsed (a
+/// negative alpha must NOT wrap to a huge unsigned; unknown model, algo,
+/// ordering, pruning or rank names are errors), then checked against
+/// ValidateQueryRequest's windows — the same ones wire::DecodeQueryPayload
+/// applies. The transport-level `stream` key is parsed too and, mirroring
+/// DecodeQueryPayload, reported through `stream` (nullable) rather than
+/// stored in the QueryRequest.
+Result<QueryRequest> BuildQueryRequest(const RequestLine& req,
+                                       bool* stream = nullptr);
 
 /// Prefixes `"session":id` into a `{...}` response object (identity on
 /// anything that is not an object). Every per-session response emitter —
@@ -114,12 +117,9 @@ class ServerSession {
   std::string Drop(const RequestLine& req);
   std::string Catalog();
   std::string Cache(const RequestLine& req);
-  std::string Query(const RequestLine& req);
-  std::string Sweep(const RequestLine& req);
   std::string Metrics();
   std::string Trace(const RequestLine& req);
   std::string EntryReply(const std::string& cmd, const std::string& name);
-  std::string Tag(std::string json) const;
 
   GraphCatalog& catalog_;
   QueryExecutor& executor_;
@@ -176,16 +176,19 @@ class Reactor;
 /// requests without reading; responses are delivered strictly in request
 /// order per connection.
 ///
-/// Queries never run on a reactor thread: they are admitted through
-/// QueryExecutor::ExecuteAsync (or ExecuteStreaming for `stream=1` /
-/// stream-flagged kQuery frames, whose chunks hop back the same way and
-/// flush progressively once their response slot reaches the front of the
-/// per-connection queue) against the global in-flight bound, and
-/// their completions hop back to the owning reactor over a cross-thread
-/// op queue (eventfd wakeup). Catalog mutations and other commands are
-/// cheap and dispatch inline. No reactor thread and no executor runner
-/// ever parks waiting on another query (see QueryExecutor's
-/// completion-list single-flight).
+/// Queries never run on a reactor thread. Every query-running request —
+/// a `query` or `sweep` line, the same inside a kCommand frame, a kQuery
+/// frame — is decoded, takes one ticket of the global in-flight bound
+/// and goes through the server's one query admission:
+/// QueryExecutor::ExecuteAsync, or ExecuteStreaming for `stream=1` /
+/// stream-flagged kQuery frames, whose chunks flush progressively once
+/// their response slot reaches the front of the per-connection queue.
+/// A sweep admits each grid point the same way and replies once its last
+/// point completes. Chunks and completions hop back to the owning
+/// reactor over a cross-thread op queue (eventfd wakeup). Catalog
+/// mutations and the other commands are cheap and dispatch inline. No
+/// reactor thread and no executor runner ever parks waiting on a query
+/// (see QueryExecutor's completion-list single-flight).
 ///
 /// Shutdown: `stop` (from any session) or RequestStop() stops the accept
 /// loop race-free (shutdown(2) on the listener wakes a blocked accept)

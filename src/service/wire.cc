@@ -1,17 +1,13 @@
 #include "service/wire.h"
 
+#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 namespace fairbc {
 namespace wire {
 
 namespace {
-
-/// Same window as the line protocol's BuildQueryRequest: far above any
-/// meaningful fairness threshold, far below unsigned-wrap territory.
-constexpr std::uint32_t kMaxParam = 1'000'000'000;
 
 template <typename T>
 void AppendLE(std::string* out, T v) {
@@ -132,14 +128,8 @@ DecodeResult DecodeFrame(std::string_view buf, std::size_t max_payload,
   *consumed = 0;
   // Reject on the earliest byte that can prove corruption, so a line
   // client (or garbage) is turned away before a full header accumulates.
-  if (!buf.empty() && !LooksBinary(static_cast<unsigned char>(buf[0]))) {
-    return {FrameStatus::kBad, ErrorCode::kBadFrame, "bad frame magic"};
-  }
-  if (buf.size() >= 2) {
-    std::size_t off = 0;
-    std::uint16_t magic = 0;
-    ReadLE(buf, &off, &magic);
-    if (magic != kMagic) {
+  for (std::size_t i = 0; i < std::min<std::size_t>(buf.size(), 2); ++i) {
+    if (static_cast<unsigned char>(buf[i]) != ((kMagic >> (8 * i)) & 0xFF)) {
       return {FrameStatus::kBad, ErrorCode::kBadFrame, "bad frame magic"};
     }
   }
@@ -217,15 +207,14 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
   Reader r(payload);
   QueryRequest req;
   std::uint8_t model = 0, algo = 0, ordering = 0, pruning = 0, flags = 0;
-  std::uint32_t threads = 0;
   if (stream != nullptr) *stream = false;
   if (!r.ReadString16(&req.graph) || !r.ReadU8(&model) || !r.ReadU8(&algo) ||
       !r.ReadU32(&req.params.alpha) || !r.ReadU32(&req.params.beta) ||
       !r.ReadU32(&req.params.delta) || !r.ReadF64(&req.params.theta) ||
       !r.ReadU8(&ordering) || !r.ReadU8(&pruning) ||
       !r.ReadF64(&req.options.time_budget_seconds) ||
-      !r.ReadU64(&req.options.node_budget) || !r.ReadU32(&threads) ||
-      !r.ReadU8(&flags)) {
+      !r.ReadU64(&req.options.node_budget) ||
+      !r.ReadU32(&req.options.num_threads) || !r.ReadU8(&flags)) {
     return Status::InvalidArgument("truncated query payload");
   }
   // Extension tail: end-of-payload here is a legacy frame (defaults);
@@ -240,25 +229,12 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after query payload");
   }
-  if (req.graph.empty()) {
-    return Status::InvalidArgument("query needs a graph name");
-  }
   if (model > 1) return Status::InvalidArgument("bad model byte");
   req.model = model == 0 ? FairModel::kSsfbc : FairModel::kBsfbc;
   if (algo > 2) return Status::InvalidArgument("bad algo byte");
   req.algo = algo == 0   ? FairAlgo::kPlusPlus
              : algo == 1 ? FairAlgo::kBcem
                          : FairAlgo::kNaive;
-  // The exact windows of the line protocol (BuildQueryRequest): the two
-  // front doors must accept and reject the same requests.
-  if (req.params.alpha > kMaxParam || req.params.beta > kMaxParam ||
-      req.params.delta > kMaxParam) {
-    return Status::InvalidArgument("alpha/beta/delta must be in [0, 1e9]");
-  }
-  if (!std::isfinite(req.params.theta) || req.params.theta < 0.0 ||
-      req.params.theta > 1.0) {
-    return Status::InvalidArgument("theta must be in [0, 1]");
-  }
   if (ordering > 1) return Status::InvalidArgument("bad ordering byte");
   req.options.ordering =
       ordering == 0 ? VertexOrdering::kDegreeDesc : VertexOrdering::kId;
@@ -266,28 +242,14 @@ Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
   req.options.pruning = pruning == 0   ? PruningLevel::kColorful
                         : pruning == 1 ? PruningLevel::kCore
                                        : PruningLevel::kNone;
-  if (!std::isfinite(req.options.time_budget_seconds) ||
-      req.options.time_budget_seconds < 0.0) {
-    return Status::InvalidArgument("budget must be in [0, inf)");
-  }
-  if (threads > 1024) {
-    return Status::InvalidArgument("threads must be in [0, 1024]");
-  }
-  req.options.num_threads = threads;
-  req.use_cache = (flags & 1) != 0;
-  if (stream != nullptr) *stream = (flags & 2) != 0;
-  if (req.top_k > kMaxParam) {
-    return Status::InvalidArgument("top_k must be in [0, 1e9]");
-  }
   if (rank > 2) return Status::InvalidArgument("bad rank byte");
   req.rank = rank == 0   ? TopKRank::kWeight
              : rank == 1 ? TopKRank::kSize
                          : TopKRank::kBalance;
-  if (!ValidRequestId(req.request_id)) {
-    return Status::InvalidArgument(
-        "request id must be at most 128 bytes of printable ASCII with no "
-        "space, quote or backslash");
-  }
+  req.use_cache = (flags & 1) != 0;
+  if (stream != nullptr) *stream = (flags & 2) != 0;
+  Status valid = ValidateQueryRequest(req);
+  if (!valid.ok()) return valid;
   return req;
 }
 
@@ -301,12 +263,11 @@ std::string EncodeChunkPayload(std::uint64_t seq, std::uint64_t results_so_far,
   FAIRBC_CHECK(bicliques.size() <= 0xFFFFFFFFu);
   AppendU32(&out, static_cast<std::uint32_t>(bicliques.size()));
   for (const Biclique& b : bicliques) {
-    FAIRBC_CHECK(b.upper.size() <= 0xFFFFFFFFu &&
-                 b.lower.size() <= 0xFFFFFFFFu);
-    AppendU32(&out, static_cast<std::uint32_t>(b.upper.size()));
-    for (VertexId v : b.upper) AppendU32(&out, v);
-    AppendU32(&out, static_cast<std::uint32_t>(b.lower.size()));
-    for (VertexId v : b.lower) AppendU32(&out, v);
+    for (const std::vector<VertexId>* side : {&b.upper, &b.lower}) {
+      FAIRBC_CHECK(side->size() <= 0xFFFFFFFFu);
+      AppendU32(&out, static_cast<std::uint32_t>(side->size()));
+      for (VertexId v : *side) AppendU32(&out, v);
+    }
   }
   return out;
 }
@@ -324,26 +285,20 @@ Result<ChunkPayload> DecodeChunkPayload(std::string_view payload) {
   if (count > r.remaining() / 8) {
     return Status::InvalidArgument("chunk count exceeds payload");
   }
-  chunk.bicliques.resize(count);
-  for (Biclique& b : chunk.bicliques) {
+  // One side: u32 size, refused against the remaining bytes, then ids.
+  auto read_side = [&r](std::vector<VertexId>* side) {
     std::uint32_t n = 0;
     if (!r.ReadU32(&n) || n > r.remaining() / sizeof(std::uint32_t)) {
+      return false;
+    }
+    side->resize(n);
+    for (VertexId& v : *side) r.ReadU32(&v);
+    return true;
+  };
+  chunk.bicliques.resize(count);
+  for (Biclique& b : chunk.bicliques) {
+    if (!read_side(&b.upper) || !read_side(&b.lower)) {
       return Status::InvalidArgument("truncated chunk biclique");
-    }
-    b.upper.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!r.ReadU32(&b.upper[i])) {
-        return Status::InvalidArgument("truncated chunk biclique");
-      }
-    }
-    if (!r.ReadU32(&n) || n > r.remaining() / sizeof(std::uint32_t)) {
-      return Status::InvalidArgument("truncated chunk biclique");
-    }
-    b.lower.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!r.ReadU32(&b.lower[i])) {
-        return Status::InvalidArgument("truncated chunk biclique");
-      }
     }
   }
   if (!r.AtEnd()) {

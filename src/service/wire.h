@@ -174,9 +174,9 @@ std::string EncodeQueryPayload(const QueryRequest& request,
                                bool stream = false);
 
 /// Strictly validated inverse of EncodeQueryPayload: truncated or
-/// trailing bytes, unknown enum values, and out-of-range numerics (the
-/// same [0, 1e9] / [0, 1] / [0, 1024] windows as the line protocol's
-/// BuildQueryRequest) all come back as InvalidArgument. `stream`
+/// trailing bytes, unknown enum values, and requests outside
+/// ValidateQueryRequest's windows (the ones the line protocol's
+/// BuildQueryRequest applies) all come back as InvalidArgument. `stream`
 /// (nullable) receives the flags' stream bit.
 Result<QueryRequest> DecodeQueryPayload(std::string_view payload,
                                         bool* stream = nullptr);

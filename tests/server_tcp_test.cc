@@ -16,6 +16,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <memory>
 #include <sstream>
@@ -25,12 +27,14 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "graph/generators.h"
 #include "graph/snapshot.h"
 #include "service/graph_catalog.h"
 #include "service/query_executor.h"
+#include "service/response_json.h"
 #include "service/wire.h"
 
 namespace fairbc {
@@ -61,6 +65,18 @@ std::string JsonField(const std::string& json, const std::string& key) {
     }
   }
   return value;
+}
+
+/// Every value of `key` in `json`, in order (a sweep's per-point fields).
+std::vector<std::string> JsonFields(const std::string& json,
+                                    const std::string& key) {
+  std::vector<std::string> values;
+  const std::string needle = "\"" + key + "\":";
+  for (auto pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + needle.size())) {
+    values.push_back(JsonField(json.substr(pos), key));
+  }
+  return values;
 }
 
 // --- request validation -----------------------------------------------------
@@ -101,6 +117,100 @@ TEST(BuildQueryRequestTest, AcceptsDefaultsAndBoundaryValues) {
   ASSERT_TRUE(built.ok());
   EXPECT_EQ(built.value().params.alpha, 0u);
   EXPECT_EQ(built.value().params.beta, 1'000'000'000u);
+}
+
+/// Both front doors run one validator: a request accepted (or rejected)
+/// as a `query` line is accepted (or rejected) as a kQuery payload too.
+TEST(BuildQueryRequestTest, LineAndWireAgreeOnEveryWindow) {
+  struct Case {
+    const char* args;  ///< the line's keys after `query`.
+    std::function<void(QueryRequest*)> wire;  ///< the same, on a request.
+    bool ok;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const Case cases[] = {
+      {"graph=g budget=inf",
+       [&](QueryRequest* q) { q->options.time_budget_seconds = inf; }, false},
+      {"graph=g budget=nan",
+       [](QueryRequest* q) {
+         q->options.time_budget_seconds =
+             std::numeric_limits<double>::quiet_NaN();
+       },
+       false},
+      {"graph=g budget=2.5",
+       [](QueryRequest* q) { q->options.time_budget_seconds = 2.5; }, true},
+      {"graph=g theta=0", [](QueryRequest* q) { q->params.theta = 0.0; },
+       true},
+      {"graph=g theta=1", [](QueryRequest* q) { q->params.theta = 1.0; },
+       true},
+      {"graph=g theta=1.0001",
+       [](QueryRequest* q) { q->params.theta = 1.0001; }, false},
+      {"graph=g alpha=1000000000",
+       [](QueryRequest* q) { q->params.alpha = 1'000'000'000; }, true},
+      {"graph=g alpha=1000000001",
+       [](QueryRequest* q) { q->params.alpha = 1'000'000'001; }, false},
+      {"graph=g delta=1000000001",
+       [](QueryRequest* q) { q->params.delta = 1'000'000'001; }, false},
+      {"graph=g threads=1024",
+       [](QueryRequest* q) { q->options.num_threads = 1024; }, true},
+      {"graph=g threads=1025",
+       [](QueryRequest* q) { q->options.num_threads = 1025; }, false},
+      {"graph=g top_k=1000000000",
+       [](QueryRequest* q) { q->top_k = 1'000'000'000; }, true},
+      {"graph=g top_k=1000000001",
+       [](QueryRequest* q) { q->top_k = 1'000'000'001; }, false},
+      {"graph=g rid=ok-7", [](QueryRequest* q) { q->request_id = "ok-7"; },
+       true},
+      {"graph=g rid=bad\"token",
+       [](QueryRequest* q) { q->request_id = "bad\"token"; }, false},
+      {"alpha=2", [](QueryRequest* q) { q->graph.clear(); }, false},
+  };
+  for (const Case& c : cases) {
+    const std::string line = std::string("query ") + c.args;
+    EXPECT_EQ(BuildStatus(line).ok(), c.ok) << line;
+    QueryRequest request;
+    request.graph = std::string(1, 'g');
+    c.wire(&request);
+    auto decoded =
+        wire::DecodeQueryPayload(wire::EncodeQueryPayload(request));
+    EXPECT_EQ(decoded.ok(), c.ok) << line << " (kQuery payload)";
+  }
+}
+
+TEST(BuildQueryRequestTest, RejectsUnknownOrderingAndPruningNames) {
+  const Status ordering = BuildStatus("query graph=g ordering=bogus");
+  EXPECT_FALSE(ordering.ok());
+  EXPECT_NE(ordering.message().find("deg|id"), std::string::npos)
+      << ordering.ToString();
+  const Status pruning = BuildStatus("query graph=g pruning=zzz");
+  EXPECT_FALSE(pruning.ok());
+  EXPECT_NE(pruning.message().find("colorful|core|none"), std::string::npos)
+      << pruning.ToString();
+  EXPECT_TRUE(BuildStatus("query graph=g ordering=id pruning=core").ok());
+  EXPECT_TRUE(BuildStatus("query graph=g ordering=deg pruning=none").ok());
+
+  // The wire refuses the same values as unknown enum bytes: ordering and
+  // pruning follow graph (u16 + 1 byte), model, algo, 3 x u32 and theta.
+  QueryRequest request;
+  request.graph = "g";
+  const std::string payload = wire::EncodeQueryPayload(request);
+  for (std::size_t offset : {25u, 26u}) {
+    std::string bad = payload;
+    bad[offset] = 9;
+    EXPECT_FALSE(wire::DecodeQueryPayload(bad).ok()) << "offset " << offset;
+  }
+}
+
+TEST(BuildQueryRequestTest, ReportsTheStreamKey) {
+  bool stream = false;
+  ASSERT_TRUE(
+      BuildQueryRequest(ParseRequestLine("query graph=g stream=1"), &stream)
+          .ok());
+  EXPECT_TRUE(stream);
+  ASSERT_TRUE(
+      BuildQueryRequest(ParseRequestLine("query graph=g"), &stream).ok());
+  EXPECT_FALSE(stream);
+  EXPECT_FALSE(BuildStatus("query graph=g stream=yes").ok());
 }
 
 TEST(ServerSessionTest, SweepRejectsNegativeAndMalformedLists) {
@@ -187,6 +297,15 @@ class LineClient {
   LineClient& operator=(const LineClient&) = delete;
 
   bool connected() const { return connected_; }
+
+  /// Bounds every later read: RecvLine returns "" once `ms` pass with
+  /// nothing to read, so a wedged server fails a test instead of hanging it.
+  void SetRecvTimeout(int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
 
   bool Send(const std::string& line) { return SendRaw(line + "\n"); }
 
@@ -756,6 +875,158 @@ TEST(WireServerTest, OverloadedServerSaysBusyOnBothProtocols) {
   EXPECT_EQ(JsonField(reply.payload, "ok"), "true") << reply.payload;
   fx.executor().SetExecuteHook(nullptr);
   line.Ask("quit");
+}
+
+/// A sweep is admitted like any query: with one reactor thread and the
+/// sweep's first grid point parked in the executor, another connection's
+/// ping is still answered. Released, the sweep replies once, in grid
+/// order, with the same count and digest per point as Execute.
+TEST(WireServerTest, SweepNeverBlocksItsReactor) {
+  TcpServerOptions tcp;
+  tcp.reactor_threads = 1;
+  ServerFixture fx(tcp);
+  ASSERT_TRUE(fx.catalog().AddGraph("g", ServerTestGraph()).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> entered{0};
+  std::atomic<unsigned> max_threads{0};
+  fx.executor().SetExecuteHook([&](const QueryRequest& req) {
+    unsigned seen = max_threads.load();
+    while (seen < req.options.num_threads &&
+           !max_threads.compare_exchange_weak(seen, req.options.num_threads)) {
+    }
+    if (req.params.alpha != 2 || req.params.delta != 1) return;
+    entered.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+
+  LineClient sweeper(fx.port());
+  ASSERT_TRUE(sweeper.connected());
+  ASSERT_TRUE(
+      sweeper.Send("sweep graph=g alphas=2,3 betas=2 deltas=1,2 threads=4"));
+  while (entered.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // No ASSERT until the point is released: a parked runner would
+  // otherwise outlive the test body and hang the fixture's drain.
+  LineClient pinger(fx.port());
+  EXPECT_TRUE(pinger.connected());
+  pinger.SetRecvTimeout(2000);
+  EXPECT_EQ(JsonField(pinger.Ask("ping"), "ok"), "true")
+      << "ping waited behind a parked sweep";
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  const std::string reply = sweeper.RecvLine();
+  fx.executor().SetExecuteHook(nullptr);
+  EXPECT_EQ(JsonField(reply, "ok"), "true") << reply;
+  EXPECT_EQ(JsonField(reply, "cmd"), "sweep") << reply;
+  EXPECT_EQ(JsonField(reply, "queries"), "4") << reply;
+  EXPECT_EQ(JsonFields(reply, "session").size(), 1u) << reply;
+
+  const std::vector<std::string> counts = JsonFields(reply, "count");
+  const std::vector<std::string> digests = JsonFields(reply, "digest");
+  ASSERT_EQ(counts.size(), 4u) << reply;
+  ASSERT_EQ(digests.size(), 4u) << reply;
+  std::size_t i = 0;
+  for (std::uint32_t alpha : {2u, 3u}) {
+    for (std::uint32_t delta : {1u, 2u}) {
+      QueryRequest point;
+      point.graph = "g";
+      point.params.alpha = alpha;
+      point.params.beta = 2;
+      point.params.delta = delta;
+      const QueryResult expected = fx.executor().Execute(point);
+      ASSERT_TRUE(expected.status.ok());
+      EXPECT_EQ(counts[i], std::to_string(expected.summary.count)) << i;
+      EXPECT_EQ(digests[i], JsonHex64(expected.summary.digest)) << i;
+      ++i;
+    }
+  }
+  // threads=4 is clamped to one thread per point, as in a batch: the
+  // grid is the unit of parallelism.
+  EXPECT_EQ(max_threads.load(), 1u);
+
+  // The same sweep as a kCommand frame: one kReply carrying the grid.
+  WireClient binary(fx.port());
+  ASSERT_TRUE(binary.connected());
+  ASSERT_TRUE(binary.SendFrame(wire::Opcode::kCommand, 9,
+                               "sweep graph=g alphas=2,3 betas=2 deltas=1,2"));
+  wire::Frame frame;
+  ASSERT_TRUE(binary.RecvFrame(&frame));
+  ASSERT_EQ(frame.opcode, wire::Opcode::kReply);
+  EXPECT_EQ(frame.request_id, 9u);
+  EXPECT_EQ(JsonFields(frame.payload, "digest"), digests) << frame.payload;
+}
+
+/// A sweep takes one --max-inflight ticket: with the only ticket held by
+/// a parked query, it is refused as busy on both protocols.
+TEST(WireServerTest, SweepIsBusyWhenInflightIsFull) {
+  TcpServerOptions tcp;
+  tcp.max_inflight = 1;
+  ServerFixture fx(tcp);
+  ASSERT_TRUE(fx.catalog().AddGraph("g", ServerTestGraph()).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> entered{0};
+  fx.executor().SetExecuteHook([&](const QueryRequest& req) {
+    if (req.params.alpha != 7) return;
+    entered.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+
+  LineClient blocker(fx.port());
+  ASSERT_TRUE(blocker.connected());
+  ASSERT_TRUE(blocker.Send("query graph=g alpha=7 beta=2 delta=1"));
+  while (entered.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // No ASSERT until the blocker is released: a parked runner would
+  // otherwise outlive the test body and hang the fixture's drain.
+  LineClient line(fx.port());
+  const std::string busy = line.Ask("sweep graph=g alphas=2,3 betas=2");
+  EXPECT_EQ(JsonField(busy, "ok"), "false") << busy;
+  EXPECT_EQ(JsonField(busy, "code"), "busy") << busy;
+
+  WireClient binary(fx.port());
+  wire::Frame err;
+  EXPECT_TRUE(binary.SendFrame(wire::Opcode::kCommand, 4,
+                               "sweep graph=g alphas=2,3 betas=2") &&
+              binary.RecvFrame(&err));
+  EXPECT_EQ(err.opcode, wire::Opcode::kError);
+  wire::ErrorCode code{};
+  std::string message;
+  EXPECT_TRUE(wire::DecodeErrorPayload(err.payload, &code, &message).ok());
+  EXPECT_EQ(code, wire::ErrorCode::kBusy);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_EQ(JsonField(blocker.RecvLine(), "ok"), "true");
+  fx.executor().SetExecuteHook(nullptr);
+  // The ticket comes back just after the blocker's reply is posted, so
+  // the client may see that reply first; then the same sweep runs.
+  std::string ran;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    ran = line.Ask("sweep graph=g alphas=2,3 betas=2");
+    if (JsonField(ran, "code") != "busy") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(JsonField(ran, "ok"), "true") << ran;
+  EXPECT_EQ(JsonField(ran, "queries"), "2") << ran;
 }
 
 /// Requests beyond --max-request-bytes get the typed too_large error:

@@ -4,8 +4,11 @@
 # and assert every response's count + result-set digest matches a
 # fairbc_cli run of the same parameters. Also checks the repeated
 # queries at the end of the trace were served from the ResultCache.
-# Then restarts the server in TCP mode (--port=0, mmap preload) and
-# replays the same trace through TWO PARALLEL TCP clients, diffing both
+# Then restarts the server in TCP mode (--port=0, mmap preload), sends
+# one `sweep` over the trace's SSFBC grid on the line protocol and the
+# same sweep as a kCommand frame (fairbc_wire_client), checking every
+# grid point's count + digest against the oracle, and replays the same
+# trace through TWO PARALLEL TCP clients, diffing both
 # response streams against the same CLI oracle — exercising concurrent
 # sessions, session ids and single-flight admission end to end.
 # Finally replays the trace a third time over the BINARY wire protocol
@@ -206,6 +209,39 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 [ -n "$PORT" ] || { echo "server did not report its port"; cat "$WORK/server.log"; exit 1; }
+
+echo "== sweep over TCP: line protocol and a kCommand frame vs the oracle"
+# The grid is the trace's 8 SSFBC points in PARAMS order (alphas outer,
+# deltas inner), so point i is checked against CLI oracle entry i. It
+# runs first, so its points execute the engines rather than replay cache.
+SWEEP="sweep graph=g model=ssfbc alphas=2,3 betas=2,3 deltas=1,2"
+check_sweep() {  # check_sweep LABEL REPLY_LINE
+  python3 - "$1" "$2" "${CLI_COUNT[@]:0:8}" "${CLI_DIGEST[@]:0:8}" <<'PY'
+import json, sys
+label, line = sys.argv[1], sys.argv[2]
+counts, digests = sys.argv[3:11], sys.argv[11:19]
+resp = json.loads(line)
+if not resp.get("ok") or resp.get("cmd") != "sweep":
+    sys.exit(f"{label} sweep failed: {line[:300]}")
+results = resp["results"]
+if resp["queries"] != 8 or len(results) != 8:
+    sys.exit(f"{label} sweep: {resp['queries']} queries, {len(results)} results")
+for i, r in enumerate(results):
+    if str(r["count"]) != counts[i] or r["digest"] != digests[i]:
+        sys.exit(f"{label} sweep MISMATCH point {i}: server "
+                 f"{r['count']}/{r['digest']} cli {counts[i]}/{digests[i]}")
+print(f"{label} sweep OK: 8 grid points match fairbc_cli")
+PY
+}
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf '%s\nquit\n' "$SWEEP" >&3
+read -r SWEEP_LINE <&3
+exec 3<&- 3>&-
+check_sweep line "$SWEEP_LINE" || exit 1
+echo "$SWEEP" | "$WIRE" --port="$PORT" > "$WORK/sweep_wire.txt" \
+  2> "$WORK/sweep_wire.log" \
+  || { echo "wire sweep failed:"; cat "$WORK/sweep_wire.log"; exit 1; }
+check_sweep kCommand "$(head -1 "$WORK/sweep_wire.txt")" || exit 1
 
 tcp_client() {  # tcp_client OUTFILE — graph preloaded, so queries only
   exec 3<>"/dev/tcp/127.0.0.1/$PORT"
