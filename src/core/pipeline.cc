@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <utility>
 
 #include "common/timer.h"
@@ -48,16 +49,29 @@ PruneResult RunPruning(const BipartiteGraph& g, const FairBicliqueParams& p,
   return result;
 }
 
-// Remaps a compact-graph biclique back to parent ids. Id maps are
-// monotone (compaction preserves order), so sortedness is preserved.
+// Maps a compact-graph biclique back to parent ids, into a buffer reused
+// by every result on this thread: the remap allocates only when a result
+// outgrows the largest one before it. Id maps are monotone (compaction
+// preserves order), so sortedness is preserved. The returned reference is
+// valid until the thread's next ToParent call; every sink copies what it
+// keeps, and none runs an enumeration of its own from inside Accept.
+const Biclique& ToParent(const IdMaps& maps, std::span<const VertexId> upper,
+                         std::span<const VertexId> lower) {
+  thread_local Biclique mapped;
+  mapped.upper.resize(upper.size());
+  mapped.lower.resize(lower.size());
+  for (std::size_t i = 0; i < upper.size(); ++i) {
+    mapped.upper[i] = maps.upper_to_parent[upper[i]];
+  }
+  for (std::size_t i = 0; i < lower.size(); ++i) {
+    mapped.lower[i] = maps.lower_to_parent[lower[i]];
+  }
+  return mapped;
+}
+
 BicliqueSink RemapSink(const IdMaps& maps, const BicliqueSink& sink) {
   return [&maps, &sink](const Biclique& b) {
-    Biclique mapped;
-    mapped.upper.reserve(b.upper.size());
-    mapped.lower.reserve(b.lower.size());
-    for (VertexId u : b.upper) mapped.upper.push_back(maps.upper_to_parent[u]);
-    for (VertexId v : b.lower) mapped.lower.push_back(maps.lower_to_parent[v]);
-    return sink(mapped);
+    return sink(ToParent(maps, b.upper, b.lower));
   };
 }
 
@@ -202,8 +216,8 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
   BipartiteGraph sub = InducedSubgraph(g, masks, &maps);
   SerializingSink serializer(sink);
   BicliqueSink serialized = serializer.AsSink();
-  BicliqueSink remapped = RemapSink(
-      maps, ResolveNumThreads(options.num_threads) > 1 ? serialized : sink);
+  const BicliqueSink& target =
+      ResolveNumThreads(options.num_threads) > 1 ? serialized : sink;
 
   MbeaConfig config;
   config.min_upper = min_upper;
@@ -227,11 +241,8 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
       sub, config,
       [&](const std::vector<VertexId>& upper,
           const std::vector<VertexId>& lower) {
-        Biclique b;
-        b.upper = upper;
-        b.lower = lower;
         num_results.fetch_add(1, std::memory_order_relaxed);
-        return remapped(b);
+        return target(ToParent(maps, upper, lower));
       });
   enum_span.End();
   stats.num_results = num_results.load(std::memory_order_relaxed);

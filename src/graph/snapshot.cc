@@ -63,8 +63,6 @@ using snapshot_detail::BlockIndexEntry;
 using snapshot_detail::SnapshotCounts;
 using snapshot_detail::V3Header;
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 /// Array sections are zero-padded to this alignment in version-2 files so
 /// mmap'd u64 spans never do misaligned loads.
 constexpr std::uint64_t kSectionAlign = 8;

@@ -75,9 +75,24 @@ inline constexpr std::uint32_t kSnapshotVersionCompressed = 3;
 /// is amortized to well under 1% of a typical block.
 inline constexpr std::uint32_t kDefaultSnapshotBlockEdges = 4096;
 
+/// FNV-1a (64-bit) parameters.
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
 /// Incremental FNV-1a (64-bit) over a byte range.
 std::uint64_t Fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t state = 14695981039346656037ULL);
+                      std::uint64_t state = kFnvOffsetBasis);
+
+/// One FNV-1a step over a 32-bit word: its four bytes, least significant
+/// first, so on a little-endian host it equals Fnv1a64 over the word's
+/// bytes. Inline for per-result hot paths (service/query.h digests).
+inline std::uint64_t Fnv1a64Word(std::uint64_t state, std::uint32_t word) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    state ^= (word >> shift) & 0xffu;
+    state *= kFnvPrime;
+  }
+  return state;
+}
 
 /// Content fingerprint of a graph: FNV-1a over the vertex/edge/attr-domain
 /// counts followed by the six CSR arrays — exactly the bytes a snapshot's

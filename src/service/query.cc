@@ -9,25 +9,77 @@
 
 namespace fairbc {
 
+namespace {
+
+// Hashed between the two sides, so that moving an id from one side to
+// the other changes the hash.
+constexpr std::uint32_t kSideSeparator = 0x5eb1c11eu;
+static_assert(sizeof(VertexId) == sizeof(std::uint32_t));
+
+}  // namespace
+
 std::uint64_t BicliqueHash(const Biclique& b) {
-  // FNV over the upper ids, a side separator, then the lower ids. The
+  // FNV-1a over the upper ids, a side separator, then the lower ids. The
   // per-biclique hash is order-*dependent* (vertex lists are canonically
   // sorted), the set digest built from it is order-independent.
-  std::uint64_t state = Fnv1a64(b.upper.data(),
-                                b.upper.size() * sizeof(VertexId));
-  const std::uint32_t separator = 0x5eb1c11eu;
-  state = Fnv1a64(&separator, sizeof(separator), state);
-  return Fnv1a64(b.lower.data(), b.lower.size() * sizeof(VertexId), state);
+  std::uint64_t state = kFnvOffsetBasis;
+  for (VertexId u : b.upper) state = Fnv1a64Word(state, u);
+  state = Fnv1a64Word(state, kSideSeparator);
+  for (VertexId v : b.lower) state = Fnv1a64Word(state, v);
+  return state;
 }
+
+DigestAccumulator::DigestAccumulator() : states_{kFnvOffsetBasis} {}
 
 BicliqueSink DigestAccumulator::Wrap(BicliqueSink inner) {
   return [this, inner = std::move(inner)](const Biclique& b) {
-    ++count_;
-    digest_ += BicliqueHash(b);
-    max_upper_ = std::max(max_upper_, static_cast<std::uint32_t>(b.upper.size()));
-    max_lower_ = std::max(max_lower_, static_cast<std::uint32_t>(b.lower.size()));
+    Add(b);
     return inner(b);
   };
+}
+
+void DigestAccumulator::Add(const Biclique& b) {
+  const std::size_t num_upper = b.upper.size();
+  const std::size_t num_words = num_upper + 1 + b.lower.size();
+
+  // k = the number of leading words this result shares with the previous
+  // one: the common prefix of the upper ids, then, if the whole upper side
+  // matched and the previous stream has the separator next, the common
+  // prefix of the lower ids.
+  const std::uint32_t* prev = words_.data();
+  const std::uint32_t* prev_end = prev + words_.size();
+  std::size_t k = static_cast<std::size_t>(
+      std::mismatch(b.upper.begin(), b.upper.end(), prev, prev_end).first -
+      b.upper.begin());
+  if (k == num_upper && prev + k != prev_end && prev[k] == kSideSeparator) {
+    ++k;
+    k += static_cast<std::size_t>(
+        std::mismatch(b.lower.begin(), b.lower.end(), prev + k, prev_end)
+            .first -
+        b.lower.begin());
+  }
+
+  // Resume from the state after those k words and hash the rest.
+  words_.resize(num_words);
+  states_.resize(num_words + 1);
+  std::uint64_t state = states_[k];
+  std::size_t i = k;
+  auto hash = [&](std::uint32_t word) {
+    words_[i] = word;
+    state = Fnv1a64Word(state, word);
+    states_[++i] = state;
+  };
+  for (std::size_t j = i; j < num_upper; ++j) hash(b.upper[j]);
+  if (i == num_upper) hash(kSideSeparator);
+  for (std::size_t j = i - num_upper - 1; j < b.lower.size(); ++j) {
+    hash(b.lower[j]);
+  }
+
+  ++count_;
+  digest_ += state;
+  max_upper_ = std::max(max_upper_, static_cast<std::uint32_t>(num_upper));
+  max_lower_ =
+      std::max(max_lower_, static_cast<std::uint32_t>(b.lower.size()));
 }
 
 void DigestAccumulator::FillSummary(QuerySummary* summary) const {

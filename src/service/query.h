@@ -67,8 +67,17 @@ struct QuerySummary {
 /// `inner`; it is NOT internally synchronized, which is safe for sinks
 /// handed to the pipeline.h entry points (they serialize sink invocation
 /// — see the BicliqueSink contract in core/enumerate.h).
+///
+/// Consecutive results mostly share their leading ids (FairBCEM++ emits
+/// every fair subset of one substrate biclique with the same upper side),
+/// so the accumulator keeps the previous result's hashed word stream and
+/// the FNV state after each word, and hashes only the suffix after the
+/// first differing word. The digest is exactly the sum of BicliqueHash,
+/// whatever the order of the results.
 class DigestAccumulator {
  public:
+  DigestAccumulator();
+
   BicliqueSink Wrap(BicliqueSink inner);
 
   std::uint64_t count() const { return count_; }
@@ -80,10 +89,16 @@ class DigestAccumulator {
   void FillSummary(QuerySummary* summary) const;
 
  private:
+  void Add(const Biclique& b);
+
   std::uint64_t count_ = 0;
   std::uint64_t digest_ = 0;
   std::uint32_t max_upper_ = 0;
   std::uint32_t max_lower_ = 0;
+  /// The previous result's hashed words (upper ids, the side separator,
+  /// lower ids); states_[i] is the FNV state after its first i words.
+  std::vector<std::uint32_t> words_;
+  std::vector<std::uint64_t> states_;
 };
 
 /// Outcome of one executed (or cache-served, or coalesced) query.

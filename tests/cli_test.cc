@@ -193,6 +193,30 @@ TEST(CliEndToEnd, MissingGraphFlagFails) {
   EXPECT_NE(r.output.find("--graph is required"), std::string::npos);
 }
 
+TEST(CliEndToEnd, EnumRejectsUnknownOrderingAndPruning) {
+  std::string graph = GraphPath();
+  ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"
+                " --edges=50")
+                .exit_code,
+            0);
+  const std::string enum_args =
+      "enum --graph=" + graph + " --alpha=1 --beta=1 --delta=1 --count-only";
+  ASSERT_EQ(RunCli(enum_args + " --ordering=id --pruning=core").exit_code, 0);
+
+  CommandResult ordering = RunCli(enum_args + " --ordering=bogus");
+  EXPECT_NE(ordering.exit_code, 0);
+  EXPECT_NE(ordering.output.find("bad --ordering (deg|id)"), std::string::npos)
+      << ordering.output;
+  EXPECT_EQ(ordering.output.find("count:"), std::string::npos);
+
+  CommandResult pruning = RunCli(enum_args + " --pruning=zzz");
+  EXPECT_NE(pruning.exit_code, 0);
+  EXPECT_NE(pruning.output.find("bad --pruning (colorful|core|none)"),
+            std::string::npos)
+      << pruning.output;
+  EXPECT_EQ(pruning.output.find("count:"), std::string::npos);
+}
+
 TEST(CliEndToEnd, UnknownFlagWarns) {
   std::string graph = GraphPath();
   ASSERT_EQ(RunCli("gen --out=" + graph + " --kind=uniform --nu=20 --nv=20"

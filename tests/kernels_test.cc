@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -415,6 +416,54 @@ TEST(KernelsEngineTest, RecursionIsAllocationFree) {
   EXPECT_GT(stats.search_nodes, 4 * sink.count());  // bound is meaningful.
   EXPECT_LT(allocs, 64 + 6 * sink.count())
       << "recursion allocated on the heap; nodes=" << stats.search_nodes;
+}
+
+// FairBCEM++ emits every maximal fair subset of a substrate biclique, so
+// on complete blocks with a lopsided lower side one substrate biclique
+// yields C(16, 4) = 1820 results. The per-result path (the remap back to
+// parent ids, the emit) must not allocate: after a warm-up run, the heap
+// allocations of a run are a per-run and per-substrate-biclique constant,
+// far below one per result.
+TEST(KernelsEngineTest, FairBcemPlusPlusResultsAreAllocationFree) {
+  // Two disjoint complete blocks: K(3, 4+16) and K(2, 3+15), lower classes
+  // 0 then 1 in each.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<AttrId> lower_attrs;
+  VertexId upper_base = 0;
+  VertexId lower_base = 0;
+  for (auto [num_upper, small, large] :
+       {std::array<VertexId, 3>{3, 4, 16}, std::array<VertexId, 3>{2, 3, 15}}) {
+    for (VertexId u = 0; u < num_upper; ++u) {
+      for (VertexId v = 0; v < small + large; ++v) {
+        edges.emplace_back(upper_base + u, lower_base + v);
+      }
+    }
+    lower_attrs.insert(lower_attrs.end(), small, 0);
+    lower_attrs.insert(lower_attrs.end(), large, 1);
+    upper_base += num_upper;
+    lower_base += small + large;
+  }
+  BipartiteGraph g = testing::MakeGraph(
+      upper_base, lower_base, edges, std::vector<AttrId>(upper_base, 0),
+      lower_attrs);
+  FairBicliqueParams params{1, 1, 0, 0.0};
+  EnumOptions options;
+  options.num_threads = 1;
+
+  CountSink warm;
+  EnumerateSSFBCPlusPlus(g, params, options, warm.AsSink());
+  ASSERT_EQ(warm.count(), 1820u + 455u);
+
+  CountSink sink;
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  EnumStats stats = EnumerateSSFBCPlusPlus(g, params, options, sink.AsSink());
+  const std::uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(sink.count(), warm.count());
+  EXPECT_EQ(stats.maximal_bicliques_visited, 2u);
+  EXPECT_GT(sink.count(), 20 * stats.maximal_bicliques_visited);
+  // A remap that allocated two vectors per result would add 4550.
+  EXPECT_LT(allocs, sink.count() / 8) << "results=" << sink.count();
 }
 
 // 8-worker run for the sanitizer suites: TSan sees the arena and kernel

@@ -49,6 +49,19 @@ BipartiteGraph ServerTestGraph(std::uint64_t seed = 29) {
   return MakeAffiliation(config);
 }
 
+/// Runs a callback when the scope exits, however it exits (a failed
+/// ASSERT returns early).
+class ScopeExit {
+ public:
+  explicit ScopeExit(std::function<void()> fn) : fn_(std::move(fn)) {}
+  ~ScopeExit() { fn_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  std::function<void()> fn_;
+};
+
 std::string JsonField(const std::string& json, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   auto pos = json.find(needle);
@@ -486,7 +499,10 @@ class WireClient {
 TEST(TcpServerTest, FourConcurrentSessionsInterleaved) {
   ServerFixture fx;
   ASSERT_TRUE(fx.catalog().AddGraph("g", ServerTestGraph()).ok());
-  const std::string snap = ::testing::TempDir() + "/tcp_extra.snap";
+  // Per-process path: concurrent copies of this binary must not share it.
+  const std::string snap = ::testing::TempDir() + "/tcp_extra_" +
+                           std::to_string(::getpid()) + ".snap";
+  ScopeExit remove_snap([&] { std::remove(snap.c_str()); });
   ASSERT_TRUE(WriteSnapshot(ServerTestGraph(/*seed=*/31), snap).ok());
 
   constexpr int kClients = 4;
@@ -834,6 +850,16 @@ TEST(WireServerTest, OverloadedServerSaysBusyOnBothProtocols) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return release; });
   });
+  auto release_blocker = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+  };
+  // A failed ASSERT below must fail the test, not leave the blocker parked
+  // and the fixture's drain waiting on it.
+  ScopeExit release_on_exit(release_blocker);
 
   WireClient blocker(fx.port());
   ASSERT_TRUE(blocker.connected());
@@ -864,11 +890,7 @@ TEST(WireServerTest, OverloadedServerSaysBusyOnBothProtocols) {
   EXPECT_EQ(code, wire::ErrorCode::kBusy);
   EXPECT_NE(message.find("max-inflight"), std::string::npos) << message;
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  release_blocker();
   wire::Frame reply;
   ASSERT_TRUE(blocker.RecvFrame(&reply));
   EXPECT_EQ(reply.opcode, wire::Opcode::kReply);

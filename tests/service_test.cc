@@ -272,6 +272,151 @@ TEST(QueryExecutorTest, DigestIsThreadCountInvariant) {
   EXPECT_EQ(parallel.summary.max_lower, serial.summary.max_lower);
 }
 
+// Plain byte-wise FNV-1a over the upper ids' bytes, the separator's bytes
+// and the lower ids' bytes: the oracle for BicliqueHash and for the
+// prefix-state DigestAccumulator, written apart from their word step.
+std::uint64_t OracleHash(const Biclique& b) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto feed = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  const std::uint32_t separator = 0x5eb1c11eu;
+  feed(b.upper.data(), b.upper.size() * sizeof(VertexId));
+  feed(&separator, sizeof(separator));
+  feed(b.lower.data(), b.lower.size() * sizeof(VertexId));
+  return h;
+}
+
+// Feeds `results` through one accumulator in order and checks every
+// field against the oracle after each result.
+void ExpectAccumulatorMatchesOracle(const std::vector<Biclique>& results) {
+  DigestAccumulator acc;
+  BicliqueSink sink = acc.Wrap([](const Biclique&) { return true; });
+  std::uint64_t digest = 0;
+  std::uint32_t max_upper = 0, max_lower = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const Biclique& b = results[i];
+    ASSERT_TRUE(sink(b));
+    digest += OracleHash(b);
+    max_upper = std::max(max_upper, static_cast<std::uint32_t>(b.upper.size()));
+    max_lower = std::max(max_lower, static_cast<std::uint32_t>(b.lower.size()));
+    ASSERT_EQ(acc.count(), i + 1);
+    ASSERT_EQ(acc.digest(), digest) << "after result " << i << ": "
+                                    << b.DebugString();
+    ASSERT_EQ(acc.max_upper(), max_upper);
+    ASSERT_EQ(acc.max_lower(), max_lower);
+  }
+}
+
+// Values computed with the byte-range BicliqueHash this word-step version
+// replaced; a change here re-pins every digest clients have seen.
+TEST(DigestTest, BicliqueHashGoldenValues) {
+  constexpr VertexId kSep = 0x5eb1c11eu;
+  const std::vector<std::pair<Biclique, std::uint64_t>> golden = {
+      {{{}, {1, 2, 3}}, 0x863c14251f2f9bd7ull},
+      {{{4, 5}, {}}, 0x7c42ea1f40b4577eull},
+      {{{}, {}}, 0x2d58e4383a9f9a47ull},
+      {{{kSep}, {7}}, 0x7d1f64602ec459aeull},
+      {{{1}, {kSep, 9}}, 0x12159e7d782a4941ull},
+      {{{0, 1, 2}, {3, 4}}, 0x41573243261a4c87ull},
+  };
+  for (const auto& [b, hash] : golden) {
+    EXPECT_EQ(BicliqueHash(b), hash) << b.DebugString();
+    EXPECT_EQ(OracleHash(b), hash) << b.DebugString();
+  }
+}
+
+TEST(DigestTest, AccumulatorMatchesOracleOnAdversarialSequences) {
+  constexpr VertexId kSep = 0x5eb1c11eu;
+  const std::vector<std::vector<Biclique>> sequences = {
+      // The same result again and again.
+      {{{1, 2}, {3, 4}}, {{1, 2}, {3, 4}}, {{1, 2}, {3, 4}}},
+      // Each result a strict prefix of the one before, down to empty.
+      {{{1, 2}, {3, 4, 5}},
+       {{1, 2}, {3, 4}},
+       {{1, 2}, {}},
+       {{1}, {}},
+       {{}, {}}},
+      // Each result longer than the one before.
+      {{{}, {}}, {{1}, {2}}, {{1}, {2, 3, 4}}, {{1, 5, 6}, {2, 3, 4}}},
+      // Only the upper side changes.
+      {{{1, 2}, {7, 8}}, {{1, 3}, {7, 8}}, {{0, 3}, {7, 8}}},
+      // An id moves across the separator.
+      {{{1, 2}, {3}}, {{1}, {2, 3}}, {{1, 2}, {3}}},
+      // Ids equal to the separator word: the first two streams are the
+      // same words, so the second result resumes after all of them.
+      {{{1, kSep}, {5}},
+       {{1}, {kSep, 5}},
+       {{1}, {kSep}},
+       {{1, kSep}, {}},
+       {{kSep}, {kSep}},
+       {{}, {kSep, kSep}}},
+  };
+  for (const auto& sequence : sequences) {
+    ExpectAccumulatorMatchesOracle(sequence);
+  }
+
+  // A random stream that keeps a random prefix of the previous result's
+  // sides and regrows them, so prefixes of every length are shared.
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  auto next = [&x](std::uint64_t bound) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x % bound;
+  };
+  std::vector<Biclique> stream;
+  Biclique b;
+  for (int i = 0; i < 5000; ++i) {
+    for (std::vector<VertexId>* side : {&b.upper, &b.lower}) {
+      side->resize(next(side->size() + 1));
+      const std::size_t grow = next(5);
+      for (std::size_t j = 0; j < grow; ++j) {
+        // Small increasing ids, with the separator word now and then.
+        const VertexId last = side->empty() ? 0 : side->back() + 1;
+        side->push_back(next(16) == 0 ? std::max(last, kSep)
+                                      : last + static_cast<VertexId>(next(3)));
+      }
+    }
+    stream.push_back(b);
+  }
+  ExpectAccumulatorMatchesOracle(stream);
+}
+
+// End to end: the digest of FairBCEM++ and BFairBCEM++ runs equals the
+// oracle sum over the collected results at every thread count, where the
+// serialized accumulator sees the workers' results interleaved.
+TEST(DigestTest, EngineDigestsMatchOracleAtEveryThreadCount) {
+  const BipartiteGraph g = ServiceTestGraph();
+  for (FairModel model : {FairModel::kSsfbc, FairModel::kBsfbc}) {
+    const FairBicliqueParams params =
+        model == FairModel::kSsfbc ? FairBicliqueParams{2, 1, 0, 0.0}
+                                   : FairBicliqueParams{1, 1, 1, 0.0};
+    std::uint64_t serial_digest = 0;
+    for (unsigned threads : {1u, 2u, 8u}) {
+      EnumOptions options;
+      options.num_threads = threads;
+      CollectSink collect;
+      DigestAccumulator acc;
+      RunEnumeration(g, model, FairAlgo::kPlusPlus, params, options,
+                     acc.Wrap(collect.AsSink()));
+      std::uint64_t oracle = 0;
+      for (const Biclique& b : collect.results()) oracle += OracleHash(b);
+      SCOPED_TRACE(std::string(ToString(model)) + " threads=" +
+                   std::to_string(threads));
+      ASSERT_GT(collect.results().size(), 1000u);
+      EXPECT_EQ(acc.count(), collect.results().size());
+      EXPECT_EQ(acc.digest(), oracle);
+      if (threads == 1) serial_digest = oracle;
+      EXPECT_EQ(oracle, serial_digest);
+    }
+  }
+}
+
 TEST(QueryExecutorTest, UnknownGraphAndNoCachePaths) {
   GraphCatalog catalog;
   QueryExecutorOptions options;

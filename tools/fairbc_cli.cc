@@ -141,13 +141,18 @@ int RunEnum(const FlagParser& flags) {
   params.theta = flags.GetDouble("theta", 0.0);
 
   fairbc::EnumOptions options;
-  std::string ordering = flags.GetString("ordering", "deg");
-  options.ordering = ordering == "id" ? fairbc::VertexOrdering::kId
-                                      : fairbc::VertexOrdering::kDegreeDesc;
-  std::string pruning = flags.GetString("pruning", "colorful");
-  options.pruning = pruning == "none"   ? fairbc::PruningLevel::kNone
-                    : pruning == "core" ? fairbc::PruningLevel::kCore
-                                        : fairbc::PruningLevel::kColorful;
+  auto ordering =
+      fairbc::ParseVertexOrdering(flags.GetString("ordering", "deg"));
+  if (!ordering) {
+    return Fail(Status::InvalidArgument("bad --ordering (deg|id)"));
+  }
+  options.ordering = *ordering;
+  auto pruning =
+      fairbc::ParsePruningLevel(flags.GetString("pruning", "colorful"));
+  if (!pruning) {
+    return Fail(Status::InvalidArgument("bad --pruning (colorful|core|none)"));
+  }
+  options.pruning = *pruning;
   options.time_budget_seconds = flags.GetDouble("budget", 0.0);
   // 1 = serial (default, reproducible output order), 0 = all cores.
   std::int64_t threads = flags.GetInt("threads", 1);
