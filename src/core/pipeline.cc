@@ -202,18 +202,9 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
                                           std::uint32_t min_lower_total,
                                           const EnumOptions& options,
                                           const BicliqueSink& sink) {
-  // Maximal bicliques with |L| >= alpha and |R| >= total have every lower
-  // vertex with degree >= alpha, and (weaker than FCore's per-class bound)
-  // upper vertices with degree >= total; we reduce with the plain
-  // (alpha, total)-core, i.e. FCore with a single attribute class.
-  Timer prune_timer;
-  SideMasks masks;
-  masks.upper_alive.assign(g.NumUpper(), 1);
-  masks.lower_alive.assign(g.NumLower(), 1);
-  const double prune_seconds = prune_timer.ElapsedSeconds();
-
-  IdMaps maps;
-  BipartiteGraph sub = InducedSubgraph(g, masks, &maps);
+  // No reduction and no compaction: the search enumerates `g` itself and
+  // enforces |L| >= min_upper and |R| >= min_lower_total through its own
+  // size bounds, so results already carry `g`'s ids.
   SerializingSink serializer(sink);
   BicliqueSink serialized = serializer.AsSink();
   const BicliqueSink& target =
@@ -238,11 +229,16 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
   EnumStats stats;
   std::atomic<std::uint64_t> num_results{0};
   MbeaStats mb = EnumerateMaximalBicliques(
-      sub, config,
+      g, config,
       [&](const std::vector<VertexId>& upper,
           const std::vector<VertexId>& lower) {
         num_results.fetch_add(1, std::memory_order_relaxed);
-        return target(ToParent(maps, upper, lower));
+        // Per-thread buffer, as in ToParent: no allocation per result once
+        // it has grown to the largest result.
+        thread_local Biclique b;
+        b.upper.assign(upper.begin(), upper.end());
+        b.lower.assign(lower.begin(), lower.end());
+        return target(b);
       });
   enum_span.End();
   stats.num_results = num_results.load(std::memory_order_relaxed);
@@ -252,7 +248,6 @@ EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
   stats.kernels = mb.kernels;
   stats.peak_struct_bytes =
       std::max(stats.peak_struct_bytes, mb.arena_high_water_bytes);
-  stats.prune_seconds = prune_seconds;
   stats.enum_seconds = enum_timer.ElapsedSeconds();
   stats.remaining_upper = g.NumUpper();
   stats.remaining_lower = g.NumLower();

@@ -63,9 +63,10 @@ EnumStats EnumerateBSFBCNaive(const BipartiteGraph& g,
                               const EnumOptions& options,
                               const BicliqueSink& sink);
 
-/// Maximal biclique enumeration with the same pruning/compaction pipeline
-/// (FCore reduction), used by the Fig. 6 count comparisons: emits maximal
-/// bicliques with |L| >= min_upper and |R| >= min_lower_total.
+/// Maximal biclique enumeration used by the Fig. 6 count comparisons:
+/// emits the maximal bicliques of `g` with |L| >= min_upper and
+/// |R| >= min_lower_total. It runs no reduction; the search enforces both
+/// floors itself, so `prune_seconds` stays 0.
 EnumStats EnumerateMaximalBicliquesPruned(const BipartiteGraph& g,
                                           std::uint32_t min_upper,
                                           std::uint32_t min_lower_total,

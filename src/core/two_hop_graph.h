@@ -14,13 +14,15 @@ class ReductionContext;
 /// `fair_side` iff they share at least `alpha` alive common neighbors.
 /// Runs in O(sum of squared degrees) like the paper's counter sweep.
 ///
-/// With a `ReductionContext` carrying a pool the counter sweeps shard by
-/// vertex range across workers (each worker sweeps with private
-/// counter/flag scratch from the context), the per-vertex edge counts are
-/// prefix-summed into the CSR offsets, and the shard outputs are copied
-/// into place. The output is a pure function of (g, masks, alpha) — byte
-/// identical at every thread count, including the serial null-context
-/// path.
+/// Each unordered pair is counted once, from its higher-id endpoint (the
+/// half-wedge order of vertex-priority butterfly counting, Wang et al.,
+/// VLDB 2019): the sweep yields every vertex's lower half {w < v}, and the
+/// upper halves are scattered from those pairs and sorted. With a
+/// `ReductionContext` carrying a pool the sweep, the placement and the row
+/// sorts shard by vertex range across workers (each worker sweeps with
+/// private counter/flag scratch from the context). The output is a pure
+/// function of (g, masks, alpha) — byte identical at every thread count,
+/// including the serial null-context path.
 UnipartiteGraph Construct2HopGraph(const BipartiteGraph& g, Side fair_side,
                                    std::uint32_t alpha, const SideMasks& masks,
                                    ReductionContext* ctx = nullptr);

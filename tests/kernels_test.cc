@@ -408,8 +408,9 @@ TEST(KernelsEngineTest, RecursionIsAllocationFree) {
       g_heap_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(sink.count(), warm.count());
   // Measured budget: a driver-level constant (ordering permutation, stats
-  // plumbing, sink wrappers; ~26 blocks) plus 4 blocks per emitted result
-  // (the Biclique's two vectors, copied once by the remap wrapper) — and
+  // plumbing, sink wrappers; ~26 blocks) plus 2 blocks per emitted result
+  // (the two vectors of the Biclique that FairBCEM materializes per
+  // emission; the remap to parent ids reuses a per-thread buffer) — and
   // nothing proportional to search_nodes. A recursion that allocated even
   // one block per branch would blow through this bound.
   EXPECT_GT(stats.search_nodes, 100u);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
+#include "common/random.h"
 #include "core/kernels.h"
 #include "core/reduction_context.h"
 #include "core/two_hop_graph.h"
@@ -23,23 +26,30 @@ SideMasks AllAlive(const BipartiteGraph& g) {
 
 // Naive O(n^2) reference: count common alive neighbors directly.
 UnipartiteGraph NaiveTwoHop(const BipartiteGraph& g, std::uint32_t alpha,
-                            const SideMasks& masks, bool per_attr) {
-  std::vector<AttrId> attrs(g.NumLower());
-  for (VertexId v = 0; v < g.NumLower(); ++v) {
-    attrs[v] = g.Attr(Side::kLower, v);
+                            const SideMasks& masks, bool per_attr,
+                            Side fair_side = Side::kLower) {
+  const Side other = Opposite(fair_side);
+  const VertexId n = g.NumVertices(fair_side);
+  const auto& fair_alive =
+      fair_side == Side::kLower ? masks.lower_alive : masks.upper_alive;
+  const auto& other_alive =
+      fair_side == Side::kLower ? masks.upper_alive : masks.lower_alive;
+  std::vector<AttrId> attrs(n);
+  for (VertexId v = 0; v < n; ++v) {
+    attrs[v] = g.Attr(fair_side, v);
   }
   std::vector<std::pair<VertexId, VertexId>> edges;
-  const AttrId au = g.NumAttrs(Side::kUpper);
-  for (VertexId a = 0; a < g.NumLower(); ++a) {
-    if (!masks.lower_alive[a]) continue;
-    for (VertexId b = a + 1; b < g.NumLower(); ++b) {
-      if (!masks.lower_alive[b]) continue;
+  const AttrId au = g.NumAttrs(other);
+  for (VertexId a = 0; a < n; ++a) {
+    if (!fair_alive[a]) continue;
+    for (VertexId b = a + 1; b < n; ++b) {
+      if (!fair_alive[b]) continue;
       SizeVector common(au, 0);
-      for (VertexId u : g.Neighbors(Side::kLower, a)) {
-        if (!masks.upper_alive[u]) continue;
-        auto nb = g.Neighbors(Side::kLower, b);
+      for (VertexId u : g.Neighbors(fair_side, a)) {
+        if (!other_alive[u]) continue;
+        auto nb = g.Neighbors(fair_side, b);
         if (std::binary_search(nb.begin(), nb.end(), u)) {
-          ++common[g.Attr(Side::kUpper, u)];
+          ++common[g.Attr(other, u)];
         }
       }
       bool connect;
@@ -54,8 +64,35 @@ UnipartiteGraph NaiveTwoHop(const BipartiteGraph& g, std::uint32_t alpha,
       if (connect) edges.emplace_back(a, b);
     }
   }
-  return UnipartiteGraph::FromEdges(g.NumLower(), edges, std::move(attrs),
-                                    g.NumAttrs(Side::kLower));
+  return UnipartiteGraph::FromEdges(n, edges, std::move(attrs),
+                                    g.NumAttrs(fair_side));
+}
+
+// Isomorphic copy of `g` with both sides' ids randomly permuted (attributes
+// follow their vertices), so id-order effects in the construction show.
+BipartiteGraph PermuteIds(const BipartiteGraph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<VertexId> upper_id(g.NumUpper());
+  std::vector<VertexId> lower_id(g.NumLower());
+  for (VertexId i = 0; i < g.NumUpper(); ++i) upper_id[i] = i;
+  for (VertexId i = 0; i < g.NumLower(); ++i) lower_id[i] = i;
+  rng.Shuffle(upper_id);
+  rng.Shuffle(lower_id);
+  std::vector<AttrId> upper_attrs(g.NumUpper());
+  std::vector<AttrId> lower_attrs(g.NumLower());
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < g.NumUpper(); ++u) {
+    upper_attrs[upper_id[u]] = g.Attr(Side::kUpper, u);
+    for (VertexId v : g.Neighbors(Side::kUpper, u)) {
+      edges.emplace_back(upper_id[u], lower_id[v]);
+    }
+  }
+  for (VertexId v = 0; v < g.NumLower(); ++v) {
+    lower_attrs[lower_id[v]] = g.Attr(Side::kLower, v);
+  }
+  return MakeGraph(g.NumUpper(), g.NumLower(), edges, upper_attrs,
+                   lower_attrs, g.NumAttrs(Side::kUpper),
+                   g.NumAttrs(Side::kLower));
 }
 
 TEST(TwoHop, SimpleSharedNeighbors) {
@@ -166,6 +203,64 @@ TEST(TwoHop, ParallelConstructionByteIdentical) {
         EXPECT_EQ(serial_bi, BiConstruct2HopGraph(g, Side::kLower, alpha,
                                                   masks, &ctx))
             << "graph=" << i << " alpha=" << alpha << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// Every row strictly increasing (sorted, no duplicates, no self loop) and
+// every edge stored in both rows.
+void ExpectSortedAndSymmetric(const UnipartiteGraph& h,
+                              const std::string& where) {
+  for (VertexId v = 0; v < h.NumVertices(); ++v) {
+    auto row = h.Neighbors(v);
+    EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                   std::greater_equal<VertexId>()) ==
+                row.end())
+        << where << " row " << v << " not strictly increasing";
+    for (VertexId w : row) {
+      EXPECT_NE(w, v) << where;
+      auto back = h.Neighbors(w);
+      EXPECT_TRUE(std::binary_search(back.begin(), back.end(), v))
+          << where << " edge " << v << "-" << w << " stored once";
+    }
+  }
+}
+
+// The half-wedge construction against the naive oracle on both sides and
+// both forms: a 3-class uniform graph and a skewed power-law graph, each
+// with randomly permuted ids and random dead vertices, at threads
+// {1, 2, 8}.
+TEST(TwoHop, HalfWedgeMatchesNaiveOnBothSidesPermuted) {
+  std::vector<BipartiteGraph> graphs;
+  graphs.push_back(PermuteIds(MakeUniformRandom(90, 70, 1200, 3, 21), 1));
+  graphs.push_back(PermuteIds(MakePowerLaw(300, 300, 3000, 2.1, 2, 22), 2));
+  Rng rng(23);
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const BipartiteGraph& g = graphs[i];
+    SideMasks masks = AllAlive(g);
+    for (auto& alive : masks.upper_alive) alive = rng.NextBool(0.85);
+    for (auto& alive : masks.lower_alive) alive = rng.NextBool(0.85);
+    for (Side side : {Side::kLower, Side::kUpper}) {
+      for (bool per_attr : {false, true}) {
+        for (std::uint32_t alpha : {1u, 2u, 3u}) {
+          const UnipartiteGraph naive =
+              NaiveTwoHop(g, alpha, masks, per_attr, side);
+          for (unsigned threads : {1u, 2u, 8u}) {
+            ReductionContext ctx(threads);
+            const UnipartiteGraph h =
+                per_attr ? BiConstruct2HopGraph(g, side, alpha, masks, &ctx)
+                         : Construct2HopGraph(g, side, alpha, masks, &ctx);
+            const std::string where =
+                "graph=" + std::to_string(i) +
+                " side=" + std::to_string(static_cast<int>(side)) +
+                " per_attr=" + std::to_string(per_attr) +
+                " alpha=" + std::to_string(alpha) +
+                " threads=" + std::to_string(threads);
+            EXPECT_EQ(h, naive) << where;
+            ExpectSortedAndSymmetric(h, where);
+          }
+        }
       }
     }
   }
