@@ -4,7 +4,7 @@ writes one BENCH_<pr>.json with every run's metrics and each side's
 median and quartiles.
 
     python3 tools/bench_ledger.py --parent ../fairbc-parent --change . \\
-        --pr 17 --workload reduce_heavy --workload enum_heavy --pairs 10
+        --pr N --workload reduce_heavy --workload enum_heavy --pairs 10
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T
 --trace X` once in each checkout; pair i runs the parent first when i is
