@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "common/types.h"
 #include "obs/trace.h"
 
 namespace fairbc {
@@ -63,11 +64,16 @@ class ReductionContext {
   std::vector<std::uint32_t>& CountScratch(unsigned worker, std::size_t size);
   /// Per-worker first-touch flags, same contract as CountScratch.
   std::vector<char>& FlagScratch(unsigned worker, std::size_t size);
+  /// Per-worker touched-vertex list, returned empty with room for at
+  /// least `capacity` ids, so a sweep's push_backs never reallocate and
+  /// repeated sweeps reuse one buffer instead of allocating per shard.
+  std::vector<VertexId>& TouchedScratch(unsigned worker, std::size_t capacity);
 
  private:
   struct WorkerScratch {
     std::vector<std::uint32_t> counts;
     std::vector<char> flags;
+    std::vector<VertexId> touched;
   };
 
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -7,10 +7,12 @@ median and quartiles.
         --pr N --workload reduce_heavy --workload enum_heavy --pairs 10
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T
---trace X` once in each checkout; pair i runs the parent first when i is
-even and the change first when i is odd, so drift over the session hits
-both sides alike. Each side builds into its own build tree
-(<build-root>/parent, <build-root>/change, passed as CARGO_TARGET_DIR).
+--trace X` once in each checkout, with T the `run_seconds` of the change
+checkout's BENCHMARK.json, so the ledger measures what the benchmark
+measures; pair i runs the parent first when i is even and the change
+first when i is odd, so drift over the session hits both sides alike.
+Each side builds into its own build tree (<build-root>/parent,
+<build-root>/change, passed as CARGO_TARGET_DIR).
 Times are reported, never judged here: the ledger keeps the raw values so
 a later diff can weigh a delta against the measured spread. Only the
 Python standard library is used.
@@ -62,6 +64,12 @@ def run_once(checkout, build_dir, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
+def run_seconds(checkout):
+    """The benchmark's run length, from the checkout's BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
+        return json.load(f)["run_seconds"]
+
+
 def spread(values):
     """Median and inclusive quartiles of a list of numbers."""
     if len(values) == 1:
@@ -98,20 +106,20 @@ def main():
     parser.add_argument("--workload", action="append", required=True,
                         help="perfbench workload; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="load seconds per run")
     parser.add_argument("--seed", type=int, default=0,
                         help="perfbench seed (non-zero relabels the graphs)")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1 adds the per-layer metrics (reduce.*, ...)")
     parser.add_argument("--build-root", default=".bench_ledger",
                         help="parent of the two build trees")
     parser.add_argument("--out", help="ledger path (default BENCH_<pr>.json)")
     args = parser.parse_args()
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
 
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
+    seconds = run_seconds(checkouts["change"])
     builds = {side: os.path.abspath(os.path.join(args.build_root, side))
               for side in SIDES}
     ledger = {
@@ -122,7 +130,7 @@ def main():
                  "python": platform.python_version()},
         "protocol": {
             "command": "perfbench/run.py --workload W --seed %d --seconds %g "
-                       "--trace %d" % (args.seed, args.seconds, args.trace),
+                       "--trace %d" % (args.seed, seconds, args.trace),
             "pairs": args.pairs,
             "order": "pair i runs the parent first when i is even, "
                      "the change first when i is odd",
@@ -142,7 +150,7 @@ def main():
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
                 result = run_once(checkouts[side], builds[side], workload,
-                                  args.seed, args.seconds, args.trace)
+                                  args.seed, seconds, args.trace)
                 runs.append({"pair": pair, "side": side, "position": position,
                              "correct": result["correct"],
                              "attempted": result["attempted"],
