@@ -34,12 +34,10 @@ std::vector<char>& ReductionContext::FlagScratch(unsigned worker,
   return flags;
 }
 
-std::vector<VertexId>& ReductionContext::TouchedScratch(unsigned worker,
-                                                       std::size_t capacity) {
+std::vector<VertexId>& ReductionContext::TouchedScratch(unsigned worker) {
   FAIRBC_CHECK(worker < scratch_.size());
   auto& touched = scratch_[worker].touched;
   touched.clear();
-  touched.reserve(capacity);
   return touched;
 }
 

@@ -64,10 +64,10 @@ class ReductionContext {
   std::vector<std::uint32_t>& CountScratch(unsigned worker, std::size_t size);
   /// Per-worker first-touch flags, same contract as CountScratch.
   std::vector<char>& FlagScratch(unsigned worker, std::size_t size);
-  /// Per-worker touched-vertex list, returned empty with room for at
-  /// least `capacity` ids, so a sweep's push_backs never reallocate and
-  /// repeated sweeps reuse one buffer instead of allocating per shard.
-  std::vector<VertexId>& TouchedScratch(unsigned worker, std::size_t capacity);
+  /// Per-worker touched-vertex list, returned empty. It keeps its
+  /// capacity, so it grows to the longest list a sweep has needed, not to
+  /// the vertex count, and later shards and phases reuse it unallocated.
+  std::vector<VertexId>& TouchedScratch(unsigned worker);
 
  private:
   struct WorkerScratch {

@@ -22,8 +22,8 @@ namespace {
 /// relaxed atomic increment of `deg_high[w]` (its upper-half degree;
 /// other shards count into the same slots). First touches are tracked
 /// with one flag byte per vertex (not by rescanning the count slots) and
-/// listed in `touched`, which arrives empty with room for every fair-side
-/// vertex; the counts and flags are returned all-zero.
+/// listed in `touched`, which arrives empty; the counts and flags are
+/// returned all-zero.
 void SweepShard(const BipartiteGraph& g, Side fair_side, std::uint32_t alpha,
                 const std::vector<char>& fair_alive,
                 const std::vector<char>& other_alive, bool per_attr,
@@ -141,7 +141,7 @@ UnipartiteGraph ConstructImpl(const BipartiteGraph& g, Side fair_side,
   for_each_shard([&](std::size_t shard, unsigned worker) {
     std::vector<std::uint32_t>& counts = ctx->CountScratch(worker, counts_size);
     std::vector<char>& flags = ctx->FlagScratch(worker, n);
-    std::vector<VertexId>& touched = ctx->TouchedScratch(worker, n);
+    std::vector<VertexId>& touched = ctx->TouchedScratch(worker);
     SweepShard(g, fair_side, alpha, fair_alive, other_alive, per_attr,
                shard_begin(shard), shard_end(shard), counts, flags, touched,
                shard_nbrs[shard], deg_low, deg_high);

@@ -12,7 +12,9 @@ checkout's BENCHMARK.json, so the ledger measures what the benchmark
 measures; pair i runs the parent first when i is even and the change
 first when i is odd, so drift over the session hits both sides alike.
 Each side builds into its own build tree (<build-root>/parent,
-<build-root>/change, passed as CARGO_TARGET_DIR).
+<build-root>/change, passed as CARGO_TARGET_DIR). Both sides inherit the
+environment; the glibc allocator settings in it (MALLOC_*,
+GLIBC_TUNABLES) are recorded, since they move peak_rss_mb.
 Times are reported, never judged here: the ledger keeps the raw values so
 a later diff can weigh a delta against the measured spread. Only the
 Python standard library is used.
@@ -135,6 +137,9 @@ def main():
             "order": "pair i runs the parent first when i is even, "
                      "the change first when i is odd",
             "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+            "allocator_env": {k: v for k, v in sorted(os.environ.items())
+                              if k.startswith("MALLOC_")
+                              or k == "GLIBC_TUNABLES"},
         },
         "checkouts": {},
         "workloads": {},
