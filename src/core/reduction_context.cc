@@ -34,11 +34,4 @@ std::vector<char>& ReductionContext::FlagScratch(unsigned worker,
   return flags;
 }
 
-std::vector<VertexId>& ReductionContext::TouchedScratch(unsigned worker) {
-  FAIRBC_CHECK(worker < scratch_.size());
-  auto& touched = scratch_[worker].touched;
-  touched.clear();
-  return touched;
-}
-
 }  // namespace fairbc

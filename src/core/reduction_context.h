@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/timer.h"
-#include "common/types.h"
 #include "obs/trace.h"
 
 namespace fairbc {
@@ -64,16 +63,11 @@ class ReductionContext {
   std::vector<std::uint32_t>& CountScratch(unsigned worker, std::size_t size);
   /// Per-worker first-touch flags, same contract as CountScratch.
   std::vector<char>& FlagScratch(unsigned worker, std::size_t size);
-  /// Per-worker touched-vertex list, returned empty. It keeps its
-  /// capacity, so it grows to the longest list a sweep has needed, not to
-  /// the vertex count, and later shards and phases reuse it unallocated.
-  std::vector<VertexId>& TouchedScratch(unsigned worker);
 
  private:
   struct WorkerScratch {
     std::vector<std::uint32_t> counts;
     std::vector<char> flags;
-    std::vector<VertexId> touched;
   };
 
   std::unique_ptr<ThreadPool> owned_pool_;

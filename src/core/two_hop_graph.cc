@@ -21,19 +21,20 @@ namespace {
 /// `out`, `deg_low[v]` records their number, and every kept w gets one
 /// relaxed atomic increment of `deg_high[w]` (its upper-half degree;
 /// other shards count into the same slots). First touches are tracked
-/// with one flag byte per vertex (not by rescanning the count slots) and
-/// listed in `touched`, which arrives empty; the counts and flags are
-/// returned all-zero.
+/// with one flag byte per vertex (not by rescanning the count slots), and
+/// both scratch arrays are returned all-zero.
 void SweepShard(const BipartiteGraph& g, Side fair_side, std::uint32_t alpha,
                 const std::vector<char>& fair_alive,
                 const std::vector<char>& other_alive, bool per_attr,
                 VertexId begin, VertexId end,
                 std::vector<std::uint32_t>& counts, std::vector<char>& touched_flag,
-                std::vector<VertexId>& touched, std::vector<VertexId>& out,
-                std::vector<std::uint32_t>& deg_low,
+                std::vector<VertexId>& out, std::vector<std::uint32_t>& deg_low,
                 std::vector<std::uint32_t>& deg_high) {
   const Side other = Opposite(fair_side);
   const std::size_t stride = per_attr ? g.NumAttrs(other) : 1;
+  // Grows to the most candidates any vertex of the shard touches; an
+  // n-sized reserve would be one large malloc/free per shard.
+  std::vector<VertexId> touched;
 
   for (VertexId v = begin; v < end; ++v) {
     if (!fair_alive[v]) continue;
@@ -141,9 +142,8 @@ UnipartiteGraph ConstructImpl(const BipartiteGraph& g, Side fair_side,
   for_each_shard([&](std::size_t shard, unsigned worker) {
     std::vector<std::uint32_t>& counts = ctx->CountScratch(worker, counts_size);
     std::vector<char>& flags = ctx->FlagScratch(worker, n);
-    std::vector<VertexId>& touched = ctx->TouchedScratch(worker);
     SweepShard(g, fair_side, alpha, fair_alive, other_alive, per_attr,
-               shard_begin(shard), shard_end(shard), counts, flags, touched,
+               shard_begin(shard), shard_end(shard), counts, flags,
                shard_nbrs[shard], deg_low, deg_high);
   });
 
